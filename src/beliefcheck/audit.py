@@ -13,6 +13,7 @@ ordered chunks with a deterministic merge.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .core import (
 from .dsl import parse_model_spec, serialize_model
 from .games import Game, GameModel, correct_belief_chain, epistemic_iesda_verdict
 from .games import introspective_correct_belief_chain, self_evident_rationality_chain
-from .games import maximal_trace, rationality_event, survives
+from .games import maximal_trace, rationality_event, survival_event
 from .informativeness import check_certainty_compatibility
 from .qualitative import (
     FamilyKind,
@@ -189,6 +190,7 @@ def _pattern_game(pattern_index: int) -> Game:
     return Game.of(actions, ranks)
 
 
+@lru_cache(maxsize=64)
 def _strategy_row(actions: tuple[str, ...], n_states: int, index: int) -> tuple[str, ...]:
     row = []
     for _ in range(n_states):
@@ -222,13 +224,9 @@ def _exhaustive_game_at(source: ModelSource, index: int) -> GameModel:
     game = _pattern_game(game_idx)
     belief = _pair_model(n, corr_i, corr_j)
     s1, s2 = divmod(strat_idx, strat_count)
-    return GameModel.of(
-        belief,
-        game,
-        {
-            "p1": _strategy_row(game.actions_of("p1"), n, s1),
-            "p2": _strategy_row(game.actions_of("p2"), n, s2),
-        },
+    a1, a2 = game.actions
+    return GameModel(
+        belief, game, (_strategy_row(a1, n, s1), _strategy_row(a2, n, s2))
     )
 
 
@@ -935,11 +933,11 @@ def _check_epistemic_iesda(gm: GameModel, acc: _Acc) -> None:
         if gm.belief.operator(p).apply_bits(rat.bits) & ~rat.bits:
             correct_all = False
         common_bits &= gm.belief.common_belief(rat).bits
-    trace = maximal_trace(gm.game)
-    for k, state in enumerate(gm.space.states):
+    survived = survival_event(gm, maximal_trace(gm.game)).bits
+    text = _game_text(gm)
+    for k in range(gm.space.n):
         premise = correct_all and bool(common_bits >> k & 1)
-        conclusion = survives(trace, gm.profile_at(state))
-        acc.implication("implication", premise, conclusion, _game_text(gm))
+        acc.implication("implication", premise, bool(survived >> k & 1), text)
 
 
 def _check_truth_implies_consistency(model: BeliefModel, acc: _Acc) -> None:
@@ -1426,6 +1424,14 @@ def _run_range_payload(
     return _run_range(claim_id, source, lo, hi, cap).payload()
 
 
+def _worker_count(jobs: int, total: int) -> int:
+    """Processes for an audit asked to use `jobs`: never more than the
+    instances to share out or the CPUs to run them on."""
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
+    return min(jobs, total, os.cpu_count() or 1)
+
+
 def audit(
     claim: str, source: ModelSource, jobs: int = 1, cap: int = VIOLATION_CAP
 ) -> AuditResult:
@@ -1441,16 +1447,16 @@ def audit(
             f"claim {spec.canonical} accepts source modes {spec.modes}, "
             f"not {source.mode!r}"
         )
+    if cap < 0:
+        raise ValueError("cap must not be negative")
     total = _instance_count(spec.arena, source)
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    if jobs == 1 or source.mode == "from-files" or total <= 1:
+    workers = _worker_count(jobs, total)
+    if workers <= 1 or source.mode == "from-files":
         acc = _run_range(spec.canonical, source, 0, total, cap)
     else:
-        jobs = min(jobs, total)
-        step = -(-total // jobs)
+        step = -(-total // workers)
         bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_range_payload, spec.canonical, source, lo, hi, cap)
                 for lo, hi in bounds

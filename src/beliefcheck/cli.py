@@ -480,7 +480,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--actions", type=int, default=2, help="actions per player")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--count", type=int, default=0, help="sampled instance count")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="parallel worker count, at most one per CPU",
+    )
     p.add_argument(
         "--cap", type=int, default=VIOLATION_CAP,
         help="listed violations/witnesses per report",

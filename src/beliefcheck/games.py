@@ -9,8 +9,9 @@ opponents are playing".
 from __future__ import annotations
 
 import itertools
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
@@ -26,6 +27,7 @@ from .informativeness import COMPATIBILITY, compatible_with_informativeness
 from .signals import CertaintyReport, Signal, certain_of
 
 RELATIONS = (">=", ">", "~")
+_COMPARE = {">=": operator.ge, ">": operator.gt, "~": operator.eq}
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,11 @@ class Game:
     players: tuple[str, ...]
     actions: tuple[tuple[str, ...], ...]
     ranks: tuple[tuple[int, ...], ...]
+    # Mixed-radix profile encoding: the profile index is the sum of each
+    # player's action index times that player's stride.
+    _strides: tuple[int, ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self) -> None:
         if not self.players:
@@ -50,12 +57,15 @@ class Game:
                 raise ValueError("every player needs at least one action")
             if len(set(acts)) != len(acts):
                 raise ValueError("duplicate actions for a player")
+        strides = []
         total = 1
-        for acts in self.actions:
+        for acts in reversed(self.actions):
+            strides.append(total)
             total *= len(acts)
         for row in self.ranks:
             if len(row) != total:
                 raise ValueError("ranks must cover every action profile")
+        object.__setattr__(self, "_strides", tuple(reversed(strides)))
 
     @classmethod
     def of(
@@ -126,6 +136,10 @@ class GameModel:
     belief: BeliefModel
     game: Game
     strategies: tuple[tuple[str, ...], ...]
+    # Per player, the index of the action played at each state.
+    _codes: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self) -> None:
         if set(self.belief.players) != set(self.game.players):
@@ -133,12 +147,16 @@ class GameModel:
         n = self.belief.space.n
         if len(self.strategies) != len(self.game.players):
             raise ValueError("strategies must cover every player")
+        codes = []
         for acts, row in zip(self.game.actions, self.strategies):
             if len(row) != n:
                 raise ValueError("strategy must pick an action at every state")
-            for action in row:
-                if action not in acts:
-                    raise ValueError(f"unknown action in strategy: {action}")
+            try:
+                codes.append(tuple(map(acts.index, row)))
+            except ValueError:
+                unknown = next(a for a in row if a not in acts)
+                raise ValueError(f"unknown action in strategy: {unknown}") from None
+        object.__setattr__(self, "_codes", tuple(codes))
 
     @classmethod
     def of(
@@ -184,6 +202,26 @@ class GameModel:
         return tuple(row[i] for row in self.strategies)
 
 
+def _opponent_bases(gm: GameModel, idx: int) -> list[int]:
+    """Per state, the index of the played profile minus the player's own
+    action: adding alt·stride gives the profile where the player plays alt."""
+    bases = [0] * gm.space.n
+    for j, (stride, row) in enumerate(zip(gm.game._strides, gm._codes)):
+        if j != idx:
+            bases = [b + c * stride for b, c in zip(bases, row)]
+    return bases
+
+
+def _preference_bits(rank, bases, alt: int, ref: int, compare) -> int:
+    """States where compare(rank of alt, rank of ref) holds; alt and ref
+    are action indices already scaled by the player's stride."""
+    bits = 0
+    for i, base in enumerate(bases):
+        if compare(rank[base + alt], rank[base + ref]):
+            bits |= 1 << i
+    return bits
+
+
 def preference_event(
     gm: GameModel, player: str, alt: str, ref: str, relation: str = ">="
 ) -> Event:
@@ -191,66 +229,64 @@ def preference_event(
     stands in the given relation to playing ref."""
     game = gm.game
     idx = game.player_index(player)
+    acts = game.actions[idx]
     for action in (alt, ref):
-        if action not in game.actions[idx]:
+        if action not in acts:
             raise KeyError(f"unknown action: {action}")
-    bits = 0
-    for i, state in enumerate(gm.space.states):
-        profile = list(gm.profile_at(state))
-        left = list(profile)
-        left[idx] = alt
-        right = list(profile)
-        right[idx] = ref
-        if game.prefers(player, left, right, relation):
-            bits |= 1 << i
+    if relation not in RELATIONS:
+        raise ValueError(f"relation must be one of {RELATIONS}")
+    stride = game._strides[idx]
+    bits = _preference_bits(
+        game.ranks[idx],
+        _opponent_bases(gm, idx),
+        acts.index(alt) * stride,
+        acts.index(ref) * stride,
+        _COMPARE[relation],
+    )
     return Event(gm.space, bits)
+
+
+def _rational_bits(gm: GameModel, player: str) -> int:
+    """States where no action is believed to do strictly better than the
+    one played there, decided per played action over all alternatives."""
+    game = gm.game
+    idx = game.player_index(player)
+    op = gm.belief.operator(player)
+    rank, stride = game.ranks[idx], game._strides[idx]
+    bases = _opponent_bases(gm, idx)
+    played = gm._codes[idx]
+    alts = range(0, len(game.actions[idx]) * stride, stride)
+    bits = 0
+    for ref in set(played):
+        states = 0
+        for i, code in enumerate(played):
+            if code == ref:
+                states |= 1 << i
+        own = ref * stride
+        for alt in alts:
+            states &= ~op.apply_bits(
+                _preference_bits(rank, bases, alt, own, operator.gt)
+            )
+            if not states:
+                break
+        bits |= states
+    return bits
 
 
 def rationality_event(gm: GameModel, player: str) -> Event:
     """No alternative is believed to do strictly better than the action played."""
-    op = gm.belief.operator(player)
-    space = gm.space
-    better: dict[tuple[str, str], int] = {}
-    bits = 0
-    for i, state in enumerate(space.states):
-        ref = gm.strategy(player, state)
-        rational = True
-        for alt in gm.game.actions_of(player):
-            key = (alt, ref)
-            if key not in better:
-                better[key] = op.apply_bits(
-                    preference_event(gm, player, alt, ref, ">").bits
-                )
-            if better[key] >> i & 1:
-                rational = False
-                break
-        if rational:
-            bits |= 1 << i
-    return Event(space, bits)
+    return Event(gm.space, _rational_bits(gm, player))
 
 
 def rationality_event_possibility(gm: GameModel, player: str) -> Event:
     """Restated form: the player always considers it possible that the
-    action played is at least as good as any alternative."""
-    op = gm.belief.operator(player)
-    space = gm.space
-    full = space.size - 1
-    believed_worse: dict[tuple[str, str], int] = {}
-    bits = 0
-    for i, state in enumerate(space.states):
-        ref = gm.strategy(player, state)
-        rational = True
-        for alt in gm.game.actions_of(player):
-            key = (ref, alt)
-            if key not in believed_worse:
-                weak = preference_event(gm, player, ref, alt, ">=").bits
-                believed_worse[key] = op.apply_bits(full & ~weak)
-            if believed_worse[key] >> i & 1:
-                rational = False
-                break
-        if rational:
-            bits |= 1 << i
-    return Event(space, bits)
+    action played is at least as good as any alternative.
+
+    Ranks are totally ordered, so "ref is not at least as good as alt" is
+    "alt is strictly better than ref", and the believed-worse events here
+    are the believed-better events of rationality_event.
+    """
+    return Event(gm.space, _rational_bits(gm, player))
 
 
 def strategy_signal(gm: GameModel, player: str) -> Signal:
@@ -409,6 +445,19 @@ def survives(trace: EliminationTrace, profile: Sequence[str]) -> bool:
     )
 
 
+def survival_event(gm: GameModel, trace: EliminationTrace) -> Event:
+    """States whose played profile survives: per player, the states
+    playing an action that the trace keeps."""
+    bits = gm.space.size - 1
+    for acts, alive, row in zip(gm.game.actions, trace.survivors, gm._codes):
+        if len(alive) < len(acts):
+            live = {acts.index(a) for a in alive}
+            for i, code in enumerate(row):
+                if code not in live:
+                    bits &= ~(1 << i)
+    return Event(gm.space, bits)
+
+
 def correct_belief_in_own_rationality(gm: GameModel, player: str) -> CheckReport:
     """Containment of believed-rational inside actually-rational."""
     rat = rationality_event(gm, player)
@@ -424,7 +473,7 @@ def correct_belief_chain(gm: GameModel, player: str) -> ImplicationReport:
     """Strategy certainty, compatibility, and conjunction force the
     player to correctly believe her own rationality."""
     op = gm.belief.operator(player)
-    certainty = strategy_certainty(gm, player).certainty
+    certainty = certain_of(gm.belief, player, strategy_signal(gm, player))
     compat = compatible_with_informativeness(op)
     conjunction = op.check_axiom(Axiom.FINITE_CONJUNCTION)
     containment = correct_belief_in_own_rationality(gm, player)
@@ -444,7 +493,7 @@ def introspective_correct_belief_chain(gm: GameModel, player: str) -> Implicatio
     """Sufficient-condition variant through Consistency, Positive
     Introspection, and the Kripke property."""
     op = gm.belief.operator(player)
-    certainty = strategy_certainty(gm, player).certainty
+    certainty = certain_of(gm.belief, player, strategy_signal(gm, player))
     containment = correct_belief_in_own_rationality(gm, player)
     return ImplicationReport(
         name="consistent-introspective-kripke-implies-correct-rationality-belief",
@@ -466,7 +515,7 @@ def self_evident_rationality_chain(gm: GameModel, player: str) -> ImplicationRep
     """Negative Introspection and the Kripke property make one's own
     rationality self-evident."""
     op = gm.belief.operator(player)
-    certainty = strategy_certainty(gm, player).certainty
+    certainty = certain_of(gm.belief, player, strategy_signal(gm, player))
     rat = rationality_event(gm, player)
     believed = op.apply(rat)
     missing = rat.bits & ~believed.bits

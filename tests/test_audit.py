@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 
 import pytest
 
@@ -21,6 +22,7 @@ from beliefcheck.audit import (
     _run_range,
     _sampled_game,
     _stabilized_iteration_bits,
+    _worker_count,
     _transfer_signals,
     _uncovered_signals,
     _Acc,
@@ -389,6 +391,34 @@ class TestModeRestrictions:
                 ModelSource(mode="exhaustive-kripke", n_states=2),
                 jobs=0,
             )
+
+    def test_cap_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="cap must not be negative"):
+            audit(
+                "prop1-1a",
+                ModelSource(mode="exhaustive-kripke", n_states=2),
+                cap=-1,
+            )
+
+
+class TestWorkerCount:
+    # the clamp is tested on its own: no pool is started here
+    def test_clamped_to_cpus_and_instances(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(1, 100) == 1
+        assert _worker_count(3, 100) == 3
+        assert _worker_count(10_000, 100) == 4
+        assert _worker_count(10_000, 2) == 2
+        assert _worker_count(2, 0) == 0
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(8, 100) == 1
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs must be positive"):
+                _worker_count(jobs, 100)
 
 
 class TestDeterminism:

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import beliefcheck
 from beliefcheck.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -229,6 +232,15 @@ class TestAudit:
         )
         assert code == 0
 
+    def test_negative_cap_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "audit", "--claim", "strict-iteration-gap", "--mode", "sampled",
+            "--states", "3", "--count", "20000", "--cap", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "cap must not be negative" in err
+
 
 class TestEnumerate:
     def test_counts(self, capsys):
@@ -328,6 +340,21 @@ class TestOutputPlumbing:
     def test_no_color_off_tty(self, capsys):
         _, out, _ = run(capsys, "axioms", PD)
         assert "\x1b[" not in out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(beliefcheck.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "beliefcheck",
+             "--format", "json", "axioms", PD],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["command"] == "axioms"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

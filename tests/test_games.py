@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from beliefcheck.audit import ModelSource, _pair_model, _pattern_game, _sampled_game
 from beliefcheck.core import (
     Axiom,
     BeliefModel,
@@ -28,6 +29,7 @@ from beliefcheck.games import (
     self_evident_rationality_chain,
     strategy_certainty,
     strategy_signal,
+    survival_event,
     survives,
 )
 
@@ -354,3 +356,132 @@ class TestEpistemicVerdict:
                 for state in space2.states:
                     verdict = epistemic_iesda_verdict(gm, state)
                     assert verdict.status is not ImplicationStatus.VIOLATED
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against definitions written from Game.prefers
+
+
+def brute_preference(gm, player, alt, ref, relation):
+    idx = gm.game.players.index(player)
+    bits = 0
+    for i in range(gm.space.n):
+        profile = [row[i] for row in gm.strategies]
+        left, right = list(profile), list(profile)
+        left[idx], right[idx] = alt, ref
+        if gm.game.prefers(player, left, right, relation):
+            bits |= 1 << i
+    return bits
+
+
+def brute_rationality(gm, player):
+    """No alternative believed strictly better than the action played."""
+    op = gm.belief.operator(player)
+    acts = gm.game.actions_of(player)
+    row = gm.strategies[gm.game.players.index(player)]
+    bits = 0
+    for i, ref in enumerate(row):
+        if not any(
+            op.apply_bits(brute_preference(gm, player, alt, ref, ">")) >> i & 1
+            for alt in acts
+        ):
+            bits |= 1 << i
+    return bits
+
+
+def brute_rationality_possibility(gm, player):
+    """Never believing the played action worse than some alternative."""
+    op = gm.belief.operator(player)
+    full = gm.space.size - 1
+    acts = gm.game.actions_of(player)
+    row = gm.strategies[gm.game.players.index(player)]
+    bits = 0
+    for i, ref in enumerate(row):
+        if not any(
+            op.apply_bits(full & ~brute_preference(gm, player, ref, alt, ">=")) >> i & 1
+            for alt in acts
+        ):
+            bits |= 1 << i
+    return bits
+
+
+def assert_kernel_matches(gm):
+    for player in gm.game.players:
+        acts = gm.game.actions_of(player)
+        for alt, ref in itertools.product(acts, repeat=2):
+            for relation in (">", ">=", "~"):
+                got = preference_event(gm, player, alt, ref, relation).bits
+                assert got == brute_preference(gm, player, alt, ref, relation)
+        assert rationality_event(gm, player).bits == brute_rationality(gm, player)
+        assert (
+            rationality_event_possibility(gm, player).bits
+            == brute_rationality_possibility(gm, player)
+        )
+    trace = iesda(gm.game)
+    survived = survival_event(gm, trace).bits
+    for i, state in enumerate(gm.space.states):
+        assert bool(survived >> i & 1) == survives(trace, gm.profile_at(state))
+
+
+class TestIntegerKernel:
+    # a fixed slice of the 256 two-state Kripke pairs, mixing players
+    PAIRS = tuple((i, (5 * i + 3) % 16) for i in range(0, 16, 2))
+
+    def test_every_pattern_game_and_strategy_profile(self):
+        rows = list(itertools.product("ab", repeat=2))
+        for pattern in range(81):
+            game = _pattern_game(pattern)
+            for i, j in self.PAIRS:
+                belief = _pair_model(2, i, j)
+                for s1, s2 in itertools.product(rows, repeat=2):
+                    assert_kernel_matches(GameModel(belief, game, (s1, s2)))
+
+    def test_seeded_four_state_three_action_games(self):
+        src = ModelSource(
+            mode="sampled-monotone", n_states=4, n_players=2, n_actions=3,
+            seed=11, count=150,
+        )
+        rng = random.Random(src.seed)
+        for _ in range(src.count):
+            assert_kernel_matches(_sampled_game(rng, src))
+
+    def test_three_player_games(self):
+        src = ModelSource(
+            mode="sampled-monotone", n_states=3, n_players=3, n_actions=2,
+            seed=5, count=150,
+        )
+        rng = random.Random(src.seed)
+        for _ in range(src.count):
+            assert_kernel_matches(_sampled_game(rng, src))
+
+    def test_unequal_action_counts(self, space3, identity3):
+        rng = random.Random(2)
+        game = random_game(rng, sizes=(2, 4))
+        belief = BeliefModel(space3, {"r": identity3, "c": identity3})
+        for sigma_r in itertools.product(game.actions[0], repeat=3):
+            sigma_c = tuple(rng.choice(game.actions[1]) for _ in range(3))
+            assert_kernel_matches(
+                two_player_model(space3, game, identity3, identity3, sigma_r, sigma_c)
+            )
+
+    def test_single_action_player_with_nonempty_belief_in_nothing(self, space3):
+        # only the player's own action is an alternative, so B(∅) decides
+        blind = BeliefOperator.from_correspondence(
+            PossibilityCorrespondence(space3, (0, 0b010, 0b110))
+        )
+        game = random_game(random.Random(4), sizes=(1, 3))
+        for sigma_c in itertools.product(game.actions[1], repeat=3):
+            gm = two_player_model(space3, game, blind, blind, ("r0",) * 3, sigma_c)
+            assert_kernel_matches(gm)
+            assert not rationality_event(gm, "r").bits & 1
+
+    def test_kernel_validates_like_the_reference(self, space3, pd_game, identity3):
+        gm = two_player_model(space3, pd_game, identity3, identity3, "CDC", "DCD")
+        with pytest.raises(KeyError, match="unknown action"):
+            preference_event(gm, "r", "X", "C")
+        with pytest.raises(KeyError, match="unknown player"):
+            preference_event(gm, "z", "C", "C")
+        with pytest.raises(ValueError, match="relation"):
+            preference_event(gm, "r", "C", "D", "!!")
+        with pytest.raises(KeyError, match="unknown player"):
+            rationality_event(gm, "z")
