@@ -29,6 +29,7 @@ from .core import (
     PossibilityCorrespondence,
     StateSpace,
     correspondence_property,
+    iterated_mutual_bits,
     operators_equal,
 )
 from .dsl import parse_model_spec, serialize_model
@@ -736,28 +737,19 @@ def _check_thm1_converse_fails(model: BeliefModel, acc: _Acc) -> None:
         acc.record("witness", "vacuous")
 
 
-def _stabilized_iteration_bits(model: BeliefModel, event_bits: int) -> int:
-    mutual = model.mutual_table()
-    cur = mutual[event_bits]
-    acc = cur
-    # the accumulator is nonincreasing and the iterate sequence cycles
-    # within 2^n steps, so twice around absorbs the whole cycle
-    for _ in range(2 * model.space.size):
-        cur = mutual[cur]
-        acc &= cur
-    return acc
-
-
 def _check_common_vs_iteration(model: BeliefModel, acc: _Acc) -> None:
     acc.add_instance()
     conjunctive = all(
         _holds(op, Axiom.COUNTABLE_CONJUNCTION) for op in model.operators.values()
     )
     common = model.common_operator().table()
+    mutual = model.mutual_table()
     contained = True
     equal = True
     for e in range(model.space.size):
-        stab = _stabilized_iteration_bits(model, e)
+        # the accumulator is nonincreasing and the iterate sequence cycles
+        # within 2^n steps, so twice around absorbs the whole cycle
+        stab = iterated_mutual_bits(mutual, e, 2 * model.space.size + 1)
         if common[e] & ~stab:
             contained = False
         if common[e] != stab:
@@ -770,8 +762,9 @@ def _check_common_vs_iteration(model: BeliefModel, acc: _Acc) -> None:
 def _check_iteration_gap_exists(model: BeliefModel, acc: _Acc) -> None:
     acc.add_instance()
     common = model.common_operator().table()
+    mutual = model.mutual_table()
     for e in range(model.space.size):
-        stab = _stabilized_iteration_bits(model, e)
+        stab = iterated_mutual_bits(mutual, e, 2 * model.space.size + 1)
         if common[e] != stab and common[e] & ~stab == 0:
             acc.record("witness", "confirmed")
             acc.witness(_model_text(model))

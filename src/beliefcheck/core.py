@@ -18,10 +18,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 TABLE_LIMIT = 16
 SPACE_LIMIT = 24
 
-# Decision procedures that scan event pairs fall back to per-state
-# shortcuts above this size; see _finite_conjunction_holds.
-PAIR_SCAN_LIMIT = 10
-
 
 class Axiom(str, Enum):
     """The nine checkable belief axioms, in report order."""
@@ -519,8 +515,7 @@ class BeliefOperator:
 
     def check_axiom(self, axiom: Axiom | str) -> AxiomReport:
         """Decide one axiom on the full event table, with a deterministic witness."""
-        axiom = Axiom.coerce(axiom)
-        return _AXIOM_CHECKS[axiom](self)
+        return _AXIOM_CHECKS[Axiom.coerce(axiom)](self.space, self.table())
 
     def check_axioms(self) -> tuple[AxiomReport, ...]:
         return tuple(self.check_axiom(a) for a in Axiom)
@@ -546,148 +541,117 @@ class BeliefOperator:
         return f"BeliefOperator(n={self.space.n}{tag})"
 
 
-def _event(space: StateSpace, bits: int) -> Event:
-    return Event(space, bits)
-
-
 def _lowest_state(space: StateSpace, bits: int) -> str:
     return space.states[(bits & -bits).bit_length() - 1]
 
 
-def _check_monotonicity(op: BeliefOperator) -> AxiomReport:
-    table, n = op.table(), op.space.n
+def _check_monotonicity(space: StateSpace, table: Sequence[int]) -> AxiomReport:
+    n = space.n
     if _is_monotone(table, n):
         return AxiomReport(Axiom.MONOTONICITY, True)
     e, f = _monotone_violation(table, n)
     bad = table[e] & ~table[f]
-    witness = (_event(op.space, e), _event(op.space, f), _lowest_state(op.space, bad))
+    witness = (Event(space, e), Event(space, f), _lowest_state(space, bad))
     return AxiomReport(Axiom.MONOTONICITY, False, witness)
 
 
-def _check_necessitation(op: BeliefOperator) -> AxiomReport:
-    full = op.space.size - 1
-    img = op.table()[full]
+def _check_necessitation(space: StateSpace, table: Sequence[int]) -> AxiomReport:
+    full = space.size - 1
+    img = table[full]
     if img == full:
         return AxiomReport(Axiom.NECESSITATION, True)
-    witness = (op.space.full, _lowest_state(op.space, full & ~img))
+    witness = (space.full, _lowest_state(space, full & ~img))
     return AxiomReport(Axiom.NECESSITATION, False, witness)
 
 
-def _conjunction_pair_witness(op: BeliefOperator) -> tuple:
-    table, size = op.table(), op.space.size
+def _conjunction_witness(space: StateSpace, table: Sequence[int]) -> tuple | None:
+    """Smallest pair (E, F) with B(E) & B(F) not in B(E & F), or None.
+
+    Finite and Countable Conjunction are one property on a finite
+    algebra: any family collapses to iterated binary meets, so a failure
+    always has a two-event witness. On a monotone table the per-state
+    test decides it exactly: a state that believes anything must believe
+    the meet of everything it believes, which lies inside every meet of
+    believed events. Only a non-monotone table (a raw type mapping) needs
+    the pair scan to decide; otherwise the scan only finds the witness.
+    """
+    n, size = space.n, space.size
+    if _is_monotone(table, n):
+        # monotone: the states that believe anything are those that believe Ω
+        possible = derive_possible(table, n)
+        if all(table[possible[i]] >> i & 1 for i in _bit_indices(table[size - 1])):
+            return None
     for e in range(size):
         for f in range(size):
             bad = table[e] & table[f] & ~table[e & f]
             if bad:
-                return (
-                    _event(op.space, e),
-                    _event(op.space, f),
-                    _lowest_state(op.space, bad),
-                )
-    raise AssertionError("no conjunction violation found")
+                return (Event(space, e), Event(space, f), _lowest_state(space, bad))
+    return None
 
 
-def _finite_conjunction_holds(op: BeliefOperator) -> bool:
-    table, n = op.table(), op.space.n
-    if n <= PAIR_SCAN_LIMIT:
-        size = 1 << n
-        return not any(
-            table[e] & table[f] & ~table[e & f]
-            for e in range(size)
-            for f in range(size)
-        )
-    # Per-state shortcut, exact for monotone operators: closure under
-    # binary meets is equivalent to believing the intersection of all
-    # believed events.
-    possible = derive_possible(table, n)
-    for i in range(n):
-        bit = 1 << i
-        if any(img & bit for img in table) and not table[possible[i]] & bit:
-            return False
-    return True
+def _check_finite_conjunction(space: StateSpace, table: Sequence[int]) -> AxiomReport:
+    witness = _conjunction_witness(space, table)
+    return AxiomReport(Axiom.FINITE_CONJUNCTION, witness is None, witness)
 
 
-def _check_finite_conjunction(op: BeliefOperator) -> AxiomReport:
-    if _finite_conjunction_holds(op):
-        return AxiomReport(Axiom.FINITE_CONJUNCTION, True)
-    return AxiomReport(Axiom.FINITE_CONJUNCTION, False, _conjunction_pair_witness(op))
+def _check_countable_conjunction(space: StateSpace, table: Sequence[int]) -> AxiomReport:
+    witness = _conjunction_witness(space, table)
+    return AxiomReport(Axiom.COUNTABLE_CONJUNCTION, witness is None, witness)
 
 
-def _check_countable_conjunction(op: BeliefOperator) -> AxiomReport:
-    """Closure under intersections of arbitrary families of believed events.
-
-    Checked per state against the intersection of everything believed
-    there, which bounds every family at once for a monotone operator. On
-    a finite algebra any countable family collapses to iterated binary
-    meets, so a failure always has a two-event witness; the reported
-    witness is the smallest such pair.
-    """
-    table, n = op.table(), op.space.n
-    possible = derive_possible(table, n)
-    for i in range(n):
-        bit = 1 << i
-        if any(img & bit for img in table) and not table[possible[i]] & bit:
-            return AxiomReport(
-                Axiom.COUNTABLE_CONJUNCTION, False, _conjunction_pair_witness(op)
-            )
-    return AxiomReport(Axiom.COUNTABLE_CONJUNCTION, True)
-
-
-def _check_kripke(op: BeliefOperator) -> AxiomReport:
-    table, n = op.table(), op.space.n
+def _check_kripke(space: StateSpace, table: Sequence[int]) -> AxiomReport:
+    n = space.n
     recon = kripke_table(derive_possible(table, n), n)
     for e in range(1 << n):
         if recon[e] != table[e]:
             diff = recon[e] ^ table[e]
-            witness = (_event(op.space, e), _lowest_state(op.space, diff))
+            witness = (Event(space, e), _lowest_state(space, diff))
             return AxiomReport(Axiom.KRIPKE, False, witness)
     return AxiomReport(Axiom.KRIPKE, True)
 
 
-def _check_consistency(op: BeliefOperator) -> AxiomReport:
-    table, size = op.table(), op.space.size
-    full = size - 1
-    for e in range(size):
+def _check_consistency(space: StateSpace, table: Sequence[int]) -> AxiomReport:
+    full = space.size - 1
+    for e in range(space.size):
         bad = table[e] & table[full & ~e]
         if bad:
-            witness = (_event(op.space, e), _lowest_state(op.space, bad))
+            witness = (Event(space, e), _lowest_state(space, bad))
             return AxiomReport(Axiom.CONSISTENCY, False, witness)
     return AxiomReport(Axiom.CONSISTENCY, True)
 
 
-def _check_truth(op: BeliefOperator) -> AxiomReport:
-    table = op.table()
-    for e in range(op.space.size):
+def _check_truth(space: StateSpace, table: Sequence[int]) -> AxiomReport:
+    for e in range(space.size):
         bad = table[e] & ~e
         if bad:
-            witness = (_event(op.space, e), _lowest_state(op.space, bad))
+            witness = (Event(space, e), _lowest_state(space, bad))
             return AxiomReport(Axiom.TRUTH, False, witness)
     return AxiomReport(Axiom.TRUTH, True)
 
 
-def _check_positive_introspection(op: BeliefOperator) -> AxiomReport:
-    table = op.table()
-    for e in range(op.space.size):
+def _check_positive_introspection(space: StateSpace, table: Sequence[int]) -> AxiomReport:
+    for e in range(space.size):
         bad = table[e] & ~table[table[e]]
         if bad:
-            witness = (_event(op.space, e), _lowest_state(op.space, bad))
+            witness = (Event(space, e), _lowest_state(space, bad))
             return AxiomReport(Axiom.POSITIVE_INTROSPECTION, False, witness)
     return AxiomReport(Axiom.POSITIVE_INTROSPECTION, True)
 
 
-def _check_negative_introspection(op: BeliefOperator) -> AxiomReport:
-    table, size = op.table(), op.space.size
-    full = size - 1
-    for e in range(size):
+def _check_negative_introspection(space: StateSpace, table: Sequence[int]) -> AxiomReport:
+    full = space.size - 1
+    for e in range(space.size):
         not_believed = full & ~table[e]
         bad = not_believed & ~table[not_believed]
         if bad:
-            witness = (_event(op.space, e), _lowest_state(op.space, bad))
+            witness = (Event(space, e), _lowest_state(space, bad))
             return AxiomReport(Axiom.NEGATIVE_INTROSPECTION, False, witness)
     return AxiomReport(Axiom.NEGATIVE_INTROSPECTION, True)
 
 
-_AXIOM_CHECKS: dict[Axiom, Callable[[BeliefOperator], AxiomReport]] = {
+# Each check decides its axiom on any table, monotone or not, so
+# operators and raw type mappings share them.
+_AXIOM_CHECKS: dict[Axiom, Callable[[StateSpace, Sequence[int]], AxiomReport]] = {
     Axiom.MONOTONICITY: _check_monotonicity,
     Axiom.NECESSITATION: _check_necessitation,
     Axiom.COUNTABLE_CONJUNCTION: _check_countable_conjunction,
@@ -782,14 +746,17 @@ class BeliefModel:
             object.__setattr__(self, "_mutual", mutual)
         return self._mutual
 
+    def _mutual_images(self) -> Sequence[int]:
+        """Mutual-belief image of every event mask, indexable by the mask."""
+        if self.space.n <= TABLE_LIMIT:
+            return self.mutual_table()
+        return _MutualView(self._operators, self.space.size - 1)
+
     def mutual_belief(self, event: Event) -> Event:
         """Everybody believes the event: intersection over the players."""
         if event.space != self.space:
             raise ValueError("event from a different state space")
-        bits = self.space.size - 1
-        for op in self._operators:
-            bits &= op.apply_bits(event.bits)
-        return Event(self.space, bits)
+        return Event(self.space, self._mutual_images()[event.bits])
 
     def mutual_operator(self) -> BeliefOperator:
         """Mutual belief packaged as an operator."""
@@ -806,19 +773,10 @@ class BeliefModel:
         """Union of the publicly evident events inside mutual belief of event."""
         if event.space != self.space:
             raise ValueError("event from a different state space")
-        if self.space.n <= TABLE_LIMIT:
-            bits = common_belief_bits(
-                self.mutual_table(), event.bits, self.space.size - 1
-            )
-            return Event(self.space, bits)
-        # correspondence-only spaces: same fixed-point iteration via apply
-        base = self.mutual_belief(event)
-        x = self.space.full
-        while True:
-            nxt = base & self.mutual_belief(x)
-            if nxt == x:
-                return x
-            x = nxt
+        bits = common_belief_bits(
+            self._mutual_images(), event.bits, self.space.size - 1
+        )
+        return Event(self.space, bits)
 
     def common_belief_iterated(self, event: Event, depth: int) -> Event:
         """Intersection of the first `depth` mutual-belief iterates.
@@ -831,15 +789,25 @@ class BeliefModel:
             raise ValueError("event from a different state space")
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        if self.space.n <= TABLE_LIMIT:
-            bits = iterated_mutual_bits(self.mutual_table(), event.bits, depth)
-            return Event(self.space, bits)
-        cur = self.mutual_belief(event)
-        acc = cur
-        for _ in range(depth - 1):
-            cur = self.mutual_belief(cur)
-            acc &= cur
-        return acc
+        bits = iterated_mutual_bits(self._mutual_images(), event.bits, depth)
+        return Event(self.space, bits)
+
+
+class _MutualView:
+    """Mutual-belief images computed on demand from each operator's
+    apply_bits, for spaces too large for a 2**n-entry table."""
+
+    __slots__ = ("_operators", "_full")
+
+    def __init__(self, operators: Sequence[BeliefOperator], full: int):
+        self._operators = operators
+        self._full = full
+
+    def __getitem__(self, bits: int) -> int:
+        out = self._full
+        for op in self._operators:
+            out &= op.apply_bits(bits)
+        return out
 
 
 def _intersect_all(values: Iterable[int]) -> int:
@@ -862,7 +830,7 @@ def operator_leq(
     for e in range(space.size):
         bad = lt[e] & ~rt[e]
         if bad:
-            witness = (_event(space, e), _lowest_state(space, bad))
+            witness = (Event(space, e), _lowest_state(space, bad))
             return CheckReport(name, False, witness)
     return CheckReport(name, True)
 
@@ -878,6 +846,6 @@ def operators_equal(
     for e in range(space.size):
         diff = lt[e] ^ rt[e]
         if diff:
-            witness = (_event(space, e), _lowest_state(space, diff))
+            witness = (Event(space, e), _lowest_state(space, diff))
             return CheckReport(name, False, witness)
     return CheckReport(name, True)

@@ -23,6 +23,7 @@ from .core import (
     ImplicationReport,
     ImplicationStatus,
 )
+from .core import _lowest_state
 from .informativeness import COMPATIBILITY, compatible_with_informativeness
 from .signals import CertaintyReport, Signal, certain_of
 
@@ -337,7 +338,7 @@ def strategy_certainty(gm: GameModel, player: str) -> StrategyCertaintyReport:
                     CheckReport(
                         name,
                         False,
-                        (Event(space, target), _first_state(space, diff)),
+                        (Event(space, target), _lowest_state(space, diff)),
                     )
                 )
     image = op.apply_bits(full)
@@ -345,7 +346,7 @@ def strategy_certainty(gm: GameModel, player: str) -> StrategyCertaintyReport:
         CheckReport(
             "B(Ω) = Ω",
             image == full,
-            None if image == full else (space.full, _first_state(space, full & ~image)),
+            None if image == full else (space.full, _lowest_state(space, full & ~image)),
         )
     )
     return StrategyCertaintyReport(
@@ -354,10 +355,6 @@ def strategy_certainty(gm: GameModel, player: str) -> StrategyCertaintyReport:
         consistent=consistent,
         identities=tuple(identities),
     )
-
-
-def _first_state(space, bits: int) -> str:
-    return space.states[(bits & -bits).bit_length() - 1]
 
 
 @dataclass(frozen=True)
@@ -465,7 +462,7 @@ def correct_belief_in_own_rationality(gm: GameModel, player: str) -> CheckReport
     extra = believed.bits & ~rat.bits
     name = f"B_{player}(RAT_{player}) <= RAT_{player}"
     if extra:
-        return CheckReport(name, False, (rat, _first_state(gm.space, extra)))
+        return CheckReport(name, False, (rat, _lowest_state(gm.space, extra)))
     return CheckReport(name, True)
 
 
@@ -531,7 +528,7 @@ def self_evident_rationality_chain(gm: GameModel, player: str) -> ImplicationRep
             ("certain of own strategy", certainty.holds),
         ),
         conclusion=(name, missing == 0),
-        witness=None if missing == 0 else (rat, _first_state(gm.space, missing)),
+        witness=None if missing == 0 else (rat, _lowest_state(gm.space, missing)),
     )
 
 

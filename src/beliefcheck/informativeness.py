@@ -19,7 +19,7 @@ from .core import (
     Event,
     ImplicationReport,
 )
-from .core import _event, _lowest_state
+from .core import _lowest_state
 from .qualitative import (
     FamilyKind,
     QualitativeTypeMapping,
@@ -96,7 +96,7 @@ def compatible_with_informativeness(op: BeliefOperator) -> AxiomReport:
                 bad |= 1 << i
         if bad:
             return AxiomReport(
-                COMPATIBILITY, False, (_event(space, e), _lowest_state(space, bad))
+                COMPATIBILITY, False, (Event(space, e), _lowest_state(space, bad))
             )
     return AxiomReport(COMPATIBILITY, True)
 

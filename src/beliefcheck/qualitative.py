@@ -26,7 +26,7 @@ from .core import (
     operator_leq,
     operators_equal,
 )
-from .core import _event, _lowest_state
+from .core import _AXIOM_CHECKS, _lowest_state
 from .signals import CertaintyReport, Signal, certain_of, commonly_certain_of
 
 
@@ -153,182 +153,16 @@ def check_type_axiom(
 ) -> AxiomReport:
     """Decide an axiom stated directly on the types.
 
-    Unlike operator-level checks this accepts arbitrary mappings,
-    including non-monotone ones that operator_of would reject. Witnesses
-    follow the operator checks' conventions (events, then the smallest
-    failing state) so that verdicts and witnesses agree whenever both
-    forms are defined.
+    Runs the operator-level check on the table the types induce, which
+    may be non-monotone: arbitrary mappings are accepted, including
+    those operator_of would reject. Verdicts and witnesses agree with
+    BeliefOperator.check_axiom whenever both forms are defined.
     """
-    axiom = Axiom.coerce(axiom)
-    return _TYPE_CHECKS[axiom](mapping)
+    return _AXIOM_CHECKS[Axiom.coerce(axiom)](mapping.space, _induced_table(mapping))
 
 
 def check_type_axioms(mapping: QualitativeTypeMapping) -> tuple[AxiomReport, ...]:
     return tuple(check_type_axiom(mapping, axiom) for axiom in Axiom)
-
-
-def _type_monotonicity(mapping: QualitativeTypeMapping) -> AxiomReport:
-    space = mapping.space
-    size = space.size
-    for e in range(size):
-        for f in range(size):
-            if e & ~f:
-                continue
-            bad = 0
-            for i, t in enumerate(mapping.types):
-                if t.believes_bits(e) and not t.believes_bits(f):
-                    bad |= 1 << i
-            if bad:
-                witness = (_event(space, e), _event(space, f), _lowest_state(space, bad))
-                return AxiomReport(Axiom.MONOTONICITY, False, witness)
-    return AxiomReport(Axiom.MONOTONICITY, True)
-
-
-def _type_necessitation(mapping: QualitativeTypeMapping) -> AxiomReport:
-    space = mapping.space
-    full = space.size - 1
-    bad = 0
-    for i, t in enumerate(mapping.types):
-        if not t.believes_bits(full):
-            bad |= 1 << i
-    if bad:
-        return AxiomReport(
-            Axiom.NECESSITATION, False, (space.full, _lowest_state(space, bad))
-        )
-    return AxiomReport(Axiom.NECESSITATION, True)
-
-
-def _type_conjunction_witness(mapping: QualitativeTypeMapping, axiom: Axiom) -> AxiomReport:
-    # On a finite algebra closure under countable intersections reduces
-    # to closure under binary ones (iterate the meet), so both
-    # conjunction axioms share this scan.
-    space = mapping.space
-    size = space.size
-    for e in range(size):
-        for f in range(size):
-            bad = 0
-            for i, t in enumerate(mapping.types):
-                if (
-                    t.believes_bits(e)
-                    and t.believes_bits(f)
-                    and not t.believes_bits(e & f)
-                ):
-                    bad |= 1 << i
-            if bad:
-                witness = (_event(space, e), _event(space, f), _lowest_state(space, bad))
-                return AxiomReport(axiom, False, witness)
-    return AxiomReport(axiom, True)
-
-
-def _type_finite_conjunction(mapping: QualitativeTypeMapping) -> AxiomReport:
-    return _type_conjunction_witness(mapping, Axiom.FINITE_CONJUNCTION)
-
-
-def _type_countable_conjunction(mapping: QualitativeTypeMapping) -> AxiomReport:
-    return _type_conjunction_witness(mapping, Axiom.COUNTABLE_CONJUNCTION)
-
-
-def _type_kripke(mapping: QualitativeTypeMapping) -> AxiomReport:
-    # believes E exactly when the meet of everything believed fits in E
-    space = mapping.space
-    size = space.size
-    full = size - 1
-    meets = []
-    for t in mapping.types:
-        meet = full
-        for e in range(size):
-            if t.believes_bits(e):
-                meet &= e
-        meets.append(meet)
-    for e in range(size):
-        diff = 0
-        for i, t in enumerate(mapping.types):
-            if t.believes_bits(e) != (meets[i] & ~e == 0):
-                diff |= 1 << i
-        if diff:
-            return AxiomReport(
-                Axiom.KRIPKE, False, (_event(space, e), _lowest_state(space, diff))
-            )
-    return AxiomReport(Axiom.KRIPKE, True)
-
-
-def _type_consistency(mapping: QualitativeTypeMapping) -> AxiomReport:
-    space = mapping.space
-    size = space.size
-    full = size - 1
-    for e in range(size):
-        bad = 0
-        for i, t in enumerate(mapping.types):
-            if t.believes_bits(e) and t.believes_bits(full & ~e):
-                bad |= 1 << i
-        if bad:
-            return AxiomReport(
-                Axiom.CONSISTENCY, False, (_event(space, e), _lowest_state(space, bad))
-            )
-    return AxiomReport(Axiom.CONSISTENCY, True)
-
-
-def _type_truth(mapping: QualitativeTypeMapping) -> AxiomReport:
-    space = mapping.space
-    for e in range(space.size):
-        bad = 0
-        for i, t in enumerate(mapping.types):
-            if t.believes_bits(e) and not e >> i & 1:
-                bad |= 1 << i
-        if bad:
-            return AxiomReport(
-                Axiom.TRUTH, False, (_event(space, e), _lowest_state(space, bad))
-            )
-    return AxiomReport(Axiom.TRUTH, True)
-
-
-def _type_positive_introspection(mapping: QualitativeTypeMapping) -> AxiomReport:
-    space = mapping.space
-    table = _induced_table(mapping)
-    for e in range(space.size):
-        bad = 0
-        for i, t in enumerate(mapping.types):
-            if t.believes_bits(e) and not t.believes_bits(table[e]):
-                bad |= 1 << i
-        if bad:
-            return AxiomReport(
-                Axiom.POSITIVE_INTROSPECTION,
-                False,
-                (_event(space, e), _lowest_state(space, bad)),
-            )
-    return AxiomReport(Axiom.POSITIVE_INTROSPECTION, True)
-
-
-def _type_negative_introspection(mapping: QualitativeTypeMapping) -> AxiomReport:
-    space = mapping.space
-    table = _induced_table(mapping)
-    full = space.size - 1
-    for e in range(space.size):
-        not_believed = full & ~table[e]
-        bad = 0
-        for i, t in enumerate(mapping.types):
-            if not t.believes_bits(e) and not t.believes_bits(not_believed):
-                bad |= 1 << i
-        if bad:
-            return AxiomReport(
-                Axiom.NEGATIVE_INTROSPECTION,
-                False,
-                (_event(space, e), _lowest_state(space, bad)),
-            )
-    return AxiomReport(Axiom.NEGATIVE_INTROSPECTION, True)
-
-
-_TYPE_CHECKS = {
-    Axiom.MONOTONICITY: _type_monotonicity,
-    Axiom.NECESSITATION: _type_necessitation,
-    Axiom.COUNTABLE_CONJUNCTION: _type_countable_conjunction,
-    Axiom.FINITE_CONJUNCTION: _type_finite_conjunction,
-    Axiom.KRIPKE: _type_kripke,
-    Axiom.CONSISTENCY: _type_consistency,
-    Axiom.TRUTH: _type_truth,
-    Axiom.POSITIVE_INTROSPECTION: _type_positive_introspection,
-    Axiom.NEGATIVE_INTROSPECTION: _type_negative_introspection,
-}
 
 
 class FamilyKind(str, Enum):
@@ -504,7 +338,7 @@ def negative_access(
         bad = outside & ~obs[outside]
         if bad:
             return CheckReport(
-                name, False, (_event(space, e), _lowest_state(space, bad))
+                name, False, (Event(space, e), _lowest_state(space, bad))
             )
     return CheckReport(name, True)
 

@@ -21,7 +21,6 @@ from beliefcheck.audit import (
     _instance_count,
     _run_range,
     _sampled_game,
-    _stabilized_iteration_bits,
     _worker_count,
     _transfer_signals,
     _uncovered_signals,
@@ -35,6 +34,7 @@ from beliefcheck.core import (
     FrameProperty,
     PossibilityCorrespondence,
     correspondence_property,
+    iterated_mutual_bits,
 )
 from beliefcheck.dsl import parse_model_spec, serialize_model
 from beliefcheck.games import epistemic_iesda_verdict
@@ -267,10 +267,11 @@ class TestExistenceClaims:
             },
         )
         common = model.common_operator().table()
+        mutual = model.mutual_table()
         gaps = [
             e
             for e in range(space.size)
-            if common[e] != _stabilized_iteration_bits(model, e)
+            if common[e] != iterated_mutual_bits(mutual, e, 2 * space.size + 1)
         ]
         assert gaps == [0b011, 0b101, 0b110]
         acc = _Acc(("witness",), cap=5)

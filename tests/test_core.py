@@ -8,6 +8,7 @@ the derived expectations are frozen in the tests that follow.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from beliefcheck.core import (
     Event,
     FrameProperty,
     PossibilityCorrespondence,
+    TABLE_LIMIT,
     StateSpace,
     correspondence_property,
     operator_leq,
@@ -413,6 +415,99 @@ class TestMutualAndCommonBelief:
     def test_depth_must_be_positive(self, blindspot_model):
         with pytest.raises(ValueError):
             blindspot_model.common_belief_iterated(blindspot_model.space.full, 0)
+
+
+def reachable_in_one_or_more_steps(possible_sets, start):
+    """States reachable from `start` along the union of the players'
+    accessibility relations, in at least one step."""
+    seen = set()
+    frontier = [start]
+    while frontier:
+        state = frontier.pop()
+        for possible in possible_sets:
+            for nxt in possible[state]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
+
+
+class TestCorrespondenceOnlyModels:
+    """Above TABLE_LIMIT no event table exists; common belief and its
+    iterates are computed from the possible-sets alone."""
+
+    @pytest.fixture
+    def kripke18(self):
+        space = StateSpace([f"s{k}" for k in range(18)])
+        assert space.n > TABLE_LIMIT
+        rng = random.Random(18)
+        clusters = [list(range(0, 6)), list(range(6, 12)), list(range(12, 18))]
+        possible_sets = []
+        for _ in range(2):
+            possible = []
+            for k in range(space.n):
+                cluster = clusters[k // 6]
+                possible.append(set(rng.sample(cluster, rng.randint(1, 2))))
+            possible_sets.append(possible)
+        # one edge from the last cluster into the first
+        possible_sets[1][17] = {0}
+        ops = {
+            player: BeliefOperator.from_correspondence(
+                PossibilityCorrespondence(
+                    space, tuple(sum(1 << j for j in p) for p in possible)
+                ),
+                player,
+            )
+            for player, possible in zip(("1", "2"), possible_sets)
+        }
+        return BeliefModel(space, ops), possible_sets
+
+    def events(self, space):
+        def of(indices):
+            return space.event(space.states[k] for k in indices)
+
+        c0, c1, c2 = (range(0, 6), range(6, 12), range(12, 18))
+        out = [space.empty, space.full]
+        out += [of(c0), of(c1), of(c2), of([*c0, *c2]), of([*c1, *c2])]
+        out += [of(k for k in range(18) if k != j) for j in (0, 7, 17)]
+        rng = random.Random(181)
+        out += [space.event_from_bits(rng.randrange(space.size)) for _ in range(30)]
+        return out
+
+    def test_operators_keep_no_table(self, kripke18):
+        model, _ = kripke18
+        for op in model.operators.values():
+            with pytest.raises(ValueError, match="too large"):
+                op.table()
+
+    def test_common_belief_matches_reachability(self, kripke18):
+        model, possible_sets = kripke18
+        space = model.space
+        nonempty = 0
+        for event in self.events(space):
+            expected = space.event(
+                space.states[k]
+                for k in range(space.n)
+                if all(
+                    event.bits >> j & 1
+                    for j in reachable_in_one_or_more_steps(possible_sets, k)
+                )
+            )
+            assert model.common_belief(event) == expected, event
+            nonempty += bool(expected)
+        assert nonempty >= 4
+
+    def test_iterated_matches_intersected_mutual_iterates(self, kripke18):
+        model, _ = kripke18
+        op1, op2 = model.operator("1"), model.operator("2")
+        for event in self.events(model.space):
+            assert model.mutual_belief(event) == op1.apply(event) & op2.apply(event)
+            cur = model.mutual_belief(event)
+            acc = cur
+            for depth in (1, 2, 3):
+                assert model.common_belief_iterated(event, depth) == acc
+                cur = model.mutual_belief(cur)
+                acc = acc & cur
 
 
 class TestOperatorComparisons:

@@ -1,5 +1,9 @@
 """Text format: lexing, parsing, validation, canonical serialization."""
 
+import random
+import re
+from pathlib import Path
+
 import pytest
 
 from beliefcheck.core import BeliefModel, BeliefOperator, PossibilityCorrespondence
@@ -290,3 +294,58 @@ class TestEventLiteral:
     def test_trailing_junk(self, space3):
         with pytest.raises(ModelSpecError, match="after the closing"):
             parse_event_literal(space3, "{ω1} extra")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+TOKEN = re.compile(r"\s+|->|[{}();:,=]|[^\s{}();:,=]+")
+
+
+def _mutate(rng: random.Random, text: str, pool: list[str]) -> str:
+    """One seeded byte-level or token-level edit of a model file."""
+    if rng.random() < 0.5:
+        data = bytearray(text.encode())
+        pos = rng.randrange(len(data) + 1)
+        kind = rng.randrange(3)
+        if kind == 0 and pos < len(data):
+            del data[pos]
+        elif kind == 1:
+            data.insert(pos, rng.randrange(256))
+        elif pos < len(data):
+            data[pos] = rng.randrange(256)
+        return data.decode(errors="replace")
+    tokens = TOKEN.findall(text)
+    pos = rng.randrange(len(tokens))
+    kind = rng.randrange(4)
+    if kind == 0:
+        del tokens[pos]
+    elif kind == 1:
+        tokens.insert(pos, tokens[pos])
+    elif kind == 2:
+        tokens[pos] = rng.choice(pool)
+    elif pos + 1 < len(tokens):
+        tokens[pos], tokens[pos + 1] = tokens[pos + 1], tokens[pos]
+    return "".join(tokens)
+
+
+class TestMutationFuzz:
+    def test_mutated_golden_files_fail_cleanly_or_round_trip(self):
+        texts = [path.read_text() for path in sorted(GOLDEN.glob("*.bm"))]
+        assert texts
+        pool = sorted({t for text in texts for t in TOKEN.findall(text)})
+        rng = random.Random(5)
+        parsed = 0
+        for _ in range(2000):
+            text = rng.choice(texts)
+            for _ in range(rng.randint(1, 3)):
+                text = _mutate(rng, text, pool)
+            try:
+                doc = parse_model_spec(text)
+            except ModelSpecError:
+                continue
+            parsed += 1
+            canonical = serialize_model_spec(doc)
+            again = parse_model_spec(canonical)
+            assert again == doc, text
+            assert serialize_model_spec(again) == canonical, text
+        # the mutations must reach both outcomes
+        assert 0 < parsed < 2000

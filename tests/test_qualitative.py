@@ -1,13 +1,16 @@
 """Qualitative types: round trips, observation families, meta-certainty."""
 
 import itertools
+import random
 
 import pytest
 
 from beliefcheck.core import (
     Axiom,
+    AxiomReport,
     BeliefModel,
     BeliefOperator,
+    Event,
     PossibilityCorrespondence,
     StateSpace,
 )
@@ -122,7 +125,128 @@ class TestRoundTrips:
         assert op.apply(space3.full).bits == 0b110
 
 
+def _first_failure(space, event_tuples, holds):
+    """First (events..., state) in enumeration order where `holds` fails."""
+    for events in event_tuples:
+        for i in range(space.n):
+            if not holds(i, *events):
+                return tuple(Event(space, e) for e in events) + (space.states[i],)
+    return None
+
+
+def _closed_under_meets(believed: list[int], full: int) -> bool:
+    # every nonempty family of believed events has a believed meet
+    meets = [full] * (1 << len(believed))
+    for family in range(1, len(meets)):
+        low = family & -family
+        meets[family] = meets[family ^ low] & believed[low.bit_length() - 1]
+        if meets[family] not in believed:
+            return False
+    return True
+
+
+def reference_type_axioms(mapping) -> tuple[AxiomReport, ...]:
+    """The nine axioms decided state by state from their set-theoretic
+    definitions, with the documented witness order: the smallest
+    event (or lexicographically smallest pair) in mask order, then the
+    smallest failing state. Assumes nothing about monotonicity."""
+    space = mapping.space
+    n, size, full = space.n, space.size, space.size - 1
+
+    def b(i, e):
+        return mapping.types[i].believes_bits(e)
+
+    def believers(e):
+        return sum(1 << i for i in range(n) if b(i, e))
+
+    singles = [(e,) for e in range(size)]
+    pairs = [(e, f) for e in range(size) for f in range(size)]
+    nested = [(e, f) for e, f in pairs if e & ~f == 0]
+    believed = [[e for e in range(size) if b(i, e)] for i in range(n)]
+    meet = []
+    for events in believed:
+        m = full
+        for e in events:
+            m &= e
+        meet.append(m)
+
+    def conjunctive(i, e, f):
+        return not (b(i, e) and b(i, f)) or b(i, e & f)
+
+    witnesses = {
+        Axiom.MONOTONICITY: _first_failure(
+            space, nested, lambda i, e, f: not b(i, e) or b(i, f)
+        ),
+        Axiom.NECESSITATION: _first_failure(space, [(full,)], b),
+        Axiom.FINITE_CONJUNCTION: _first_failure(space, pairs, conjunctive),
+        Axiom.KRIPKE: _first_failure(
+            space, singles, lambda i, e: b(i, e) == (meet[i] & ~e == 0)
+        ),
+        Axiom.CONSISTENCY: _first_failure(
+            space, singles, lambda i, e: not (b(i, e) and b(i, full & ~e))
+        ),
+        Axiom.TRUTH: _first_failure(
+            space, singles, lambda i, e: not b(i, e) or e >> i & 1
+        ),
+        Axiom.POSITIVE_INTROSPECTION: _first_failure(
+            space, singles, lambda i, e: not b(i, e) or b(i, believers(e))
+        ),
+        Axiom.NEGATIVE_INTROSPECTION: _first_failure(
+            space, singles, lambda i, e: b(i, e) or b(i, full & ~believers(e))
+        ),
+    }
+    verdicts = {axiom: witness is None for axiom, witness in witnesses.items()}
+    # Kripke: some possible-set P has "believes E iff P within E"
+    verdicts[Axiom.KRIPKE] = all(
+        any(all(b(i, e) == (p & ~e == 0) for e in range(size)) for p in range(size))
+        for i in range(n)
+    )
+    # Countable Conjunction: every nonempty family of believed events;
+    # a failure's witness is its smallest failing pair
+    verdicts[Axiom.COUNTABLE_CONJUNCTION] = all(
+        _closed_under_meets(events, full) for events in believed
+    )
+    witnesses[Axiom.COUNTABLE_CONJUNCTION] = (
+        None
+        if verdicts[Axiom.COUNTABLE_CONJUNCTION]
+        else _first_failure(space, pairs, conjunctive)
+    )
+    return tuple(
+        AxiomReport(axiom, verdicts[axiom], witnesses[axiom]) for axiom in Axiom
+    )
+
+
+def _mapping_of_masks(space, masks):
+    return QualitativeTypeMapping(
+        space, tuple(QualitativeType(space, m) for m in masks)
+    )
+
+
 class TestTypeAxioms:
+    def test_matches_reference_on_every_two_state_mapping(self):
+        space = StateSpace(["ω1", "ω2"])
+        type_count = 1 << space.size
+        monotone = 0
+        for masks in itertools.product(range(type_count), repeat=space.n):
+            mapping = _mapping_of_masks(space, masks)
+            expected = reference_type_axioms(mapping)
+            assert check_type_axioms(mapping) == expected, masks
+            monotone += expected[0].holds
+        assert 0 < monotone < type_count**space.n
+
+    def test_matches_reference_on_sampled_three_state_mappings(self):
+        space = StateSpace(["ω1", "ω2", "ω3"])
+        rng = random.Random(20211)
+        type_count = 1 << space.size
+        non_monotone = 0
+        for _ in range(2000):
+            masks = [rng.randrange(type_count) for _ in range(space.n)]
+            mapping = _mapping_of_masks(space, masks)
+            expected = reference_type_axioms(mapping)
+            assert check_type_axioms(mapping) == expected, masks
+            non_monotone += not expected[0].holds
+        assert non_monotone > 1000
+
     def test_agrees_with_operator_checks(self, space3, blindspot, identity3):
         space2 = StateSpace(["ω1", "ω2"])
         ops = varied_operators(space3, blindspot, identity3)
