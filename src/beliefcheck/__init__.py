@@ -76,7 +76,6 @@ from .dsl import (
 from .audit import (
     AuditResult,
     ModelSource,
-    audit,
     claim_ids,
     enumerate_correspondences,
     resolve_claim,
@@ -140,7 +139,6 @@ __all__ = [
     "serialize_model_spec",
     "AuditResult",
     "ModelSource",
-    "audit",
     "claim_ids",
     "enumerate_correspondences",
     "resolve_claim",

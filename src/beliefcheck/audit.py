@@ -33,7 +33,7 @@ from .core import (
     operators_equal,
 )
 from .dsl import parse_model_spec, serialize_model
-from .games import Game, GameModel, correct_belief_chain, epistemic_iesda_verdict
+from .games import Game, GameModel, correct_belief_chain
 from .games import introspective_correct_belief_chain, self_evident_rationality_chain
 from .games import maximal_trace, rationality_event, survival_event
 from .informativeness import check_certainty_compatibility
@@ -115,15 +115,14 @@ def enumerate_correspondences(
         )
     wanted = tuple(FrameProperty.coerce(c) for c in constraints)
     space = standard_space(n)
-    for possible in itertools.product(range(space.size), repeat=n):
-        corr = PossibilityCorrespondence(space, possible)
+    for index in range(space.size**n):
+        corr = _correspondence_at(space, index)
         if all(correspondence_property(corr, prop) for prop in wanted):
             yield corr
 
 
 def _correspondence_at(space: StateSpace, index: int) -> PossibilityCorrespondence:
-    # mixed-radix decode matching enumerate_correspondences order:
-    # the first state's possible-set varies slowest
+    # mixed-radix decode: the first state's possible-set varies slowest
     digits = []
     for _ in range(space.n):
         index, digit = divmod(index, space.size)
@@ -380,6 +379,11 @@ class _Acc:
         self.implication("forward", gate and left, right, text)
         self.implication("backward", gate and right, left, text)
 
+    def vacuous(self) -> None:
+        """Record every direction of this instance as vacuous."""
+        for d in self.order:
+            self.record(d, "vacuous")
+
     def witness(self, text) -> None:
         self.counterexamples_total += 1
         if len(self.counterexamples) < self.cap:
@@ -396,33 +400,6 @@ class _Acc:
             : self.cap
         ]
         self.counterexamples_total += other.counterexamples_total
-
-    def payload(self) -> tuple:
-        return (
-            self.instances,
-            tuple((d, tuple(self.tallies[d])) for d in self.order),
-            tuple(self.violations),
-            self.violations_total,
-            tuple(self.counterexamples),
-            self.counterexamples_total,
-        )
-
-    @classmethod
-    def from_payload(cls, directions: tuple[str, ...], cap: int, payload: tuple):
-        acc = cls(directions, cap)
-        (
-            acc.instances,
-            tallies,
-            violations,
-            acc.violations_total,
-            counterexamples,
-            acc.counterexamples_total,
-        ) = payload
-        for d, counts in tallies:
-            acc.tallies[d] = list(counts)
-        acc.violations = list(violations)
-        acc.counterexamples = list(counterexamples)
-        return acc
 
 
 @dataclass(frozen=True)
@@ -540,114 +517,8 @@ def _pair(model: BeliefModel) -> tuple[str, str, BeliefOperator, BeliefOperator]
     return i, j, model.operator(i), model.operator(j)
 
 
-def _check_own_beta_iff_pi(model: BeliefModel, acc: _Acc) -> None:
-    p, op = _single(model)
-    acc.add_instance()
-    acc.biconditional(
-        _certain_of_type(model, p, p, FamilyKind.BETA),
-        _holds(op, Axiom.POSITIVE_INTROSPECTION),
-        _model_text(model),
-    )
-
-
-def _check_own_negbeta_iff_ni(model: BeliefModel, acc: _Acc) -> None:
-    p, op = _single(model)
-    acc.add_instance()
-    acc.biconditional(
-        _certain_of_type(model, p, p, FamilyKind.NEG_BETA),
-        _holds(op, Axiom.NEGATIVE_INTROSPECTION),
-        _model_text(model),
-    )
-
-
-def _check_own_sigma_implies_introspection(model: BeliefModel, acc: _Acc) -> None:
-    p, op = _single(model)
-    acc.add_instance()
-    acc.implication(
-        "implication",
-        _certain_of_type(model, p, p, FamilyKind.SIGMA_ATOMS),
-        _holds(op, Axiom.POSITIVE_INTROSPECTION)
-        and _holds(op, Axiom.NEGATIVE_INTROSPECTION),
-        _model_text(model),
-    )
-
-
-def _check_truthful_sigma_iff_ni(model: BeliefModel, acc: _Acc) -> None:
-    p, op = _single(model)
-    acc.add_instance()
-    acc.biconditional(
-        _certain_of_type(model, p, p, FamilyKind.SIGMA_ATOMS),
-        _holds(op, Axiom.NEGATIVE_INTROSPECTION),
-        _model_text(model),
-        gate=_holds(op, Axiom.TRUTH),
-    )
-
-
-def _check_conjunctive_sigma_iff_introspection(model: BeliefModel, acc: _Acc) -> None:
-    p, op = _single(model)
-    acc.add_instance()
-    acc.biconditional(
-        _certain_of_type(model, p, p, FamilyKind.SIGMA_ATOMS),
-        _holds(op, Axiom.POSITIVE_INTROSPECTION)
-        and _holds(op, Axiom.NEGATIVE_INTROSPECTION),
-        _model_text(model),
-        gate=_holds(op, Axiom.CONSISTENCY)
-        and _holds(op, Axiom.COUNTABLE_CONJUNCTION),
-    )
-
-
-def _check_cross_beta_iff_positive(model: BeliefModel, acc: _Acc) -> None:
-    i, j, op_i, op_j = _pair(model)
-    acc.add_instance()
-    acc.biconditional(
-        _certain_of_type(model, i, j, FamilyKind.BETA),
-        positive_access(op_i, op_j).holds,
-        _model_text(model),
-    )
-
-
-def _check_cross_negbeta_iff_negative(model: BeliefModel, acc: _Acc) -> None:
-    i, j, op_i, op_j = _pair(model)
-    acc.add_instance()
-    acc.biconditional(
-        _certain_of_type(model, i, j, FamilyKind.NEG_BETA),
-        negative_access(op_i, op_j).holds,
-        _model_text(model),
-    )
-
-
-def _check_cross_sigma_implies_access(model: BeliefModel, acc: _Acc) -> None:
-    i, j, op_i, op_j = _pair(model)
-    acc.add_instance()
-    acc.implication(
-        "implication",
-        _certain_of_type(model, i, j, FamilyKind.SIGMA_ATOMS),
-        positive_access(op_i, op_j).holds and negative_access(op_i, op_j).holds,
-        _model_text(model),
-    )
-
-
-def _check_truthful_cross_sigma_iff_access(model: BeliefModel, acc: _Acc) -> None:
-    i, j, op_i, op_j = _pair(model)
-    acc.add_instance()
-    acc.biconditional(
-        _certain_of_type(model, i, j, FamilyKind.SIGMA_ATOMS),
-        positive_access(op_i, op_j).holds and negative_access(op_i, op_j).holds,
-        _model_text(model),
-        gate=_holds(op_i, Axiom.TRUTH),
-    )
-
-
-def _check_conjunctive_cross_sigma_iff_access(model: BeliefModel, acc: _Acc) -> None:
-    i, j, op_i, op_j = _pair(model)
-    acc.add_instance()
-    acc.biconditional(
-        _certain_of_type(model, i, j, FamilyKind.SIGMA_ATOMS),
-        positive_access(op_i, op_j).holds and negative_access(op_i, op_j).holds,
-        _model_text(model),
-        gate=_holds(op_i, Axiom.CONSISTENCY)
-        and _holds(op_i, Axiom.COUNTABLE_CONJUNCTION),
-    )
+def _all_hold(op: BeliefOperator, axioms: tuple[Axiom, ...]) -> bool:
+    return all(_holds(op, axiom) for axiom in axioms)
 
 
 def _commonly_certain_of_profile(model: BeliefModel) -> bool:
@@ -659,13 +530,15 @@ def _commonly_certain_of_profile(model: BeliefModel) -> bool:
     )
 
 
+def _equals_common(model: BeliefModel) -> bool:
+    common = model.common_operator()
+    return all(operators_equal(op, common).holds for op in model.operators.values())
+
+
 def _check_thm1_truthful(model: BeliefModel, acc: _Acc) -> None:
     acc.add_instance()
-    gate = all(_holds(op, Axiom.TRUTH) for op in model.operators.values())
-    if not gate:
-        acc.record("forward", "vacuous")
-        acc.record("backward", "vacuous")
-        acc.record("in-particular", "vacuous")
+    if not all(_holds(op, Axiom.TRUTH) for op in model.operators.values()):
+        acc.vacuous()
         return
     left = _commonly_certain_of_profile(model)
     ops = list(model.operators.values())
@@ -674,16 +547,7 @@ def _check_thm1_truthful(model: BeliefModel, acc: _Acc) -> None:
     ) and all(_holds(op, Axiom.NEGATIVE_INTROSPECTION) for op in ops)
     text = _model_text(model)
     acc.biconditional(left, right, text)
-    if not left:
-        acc.record("in-particular", "vacuous")
-    else:
-        common = model.common_operator()
-        acc.implication(
-            "in-particular",
-            True,
-            all(operators_equal(op, common).holds for op in ops),
-            text,
-        )
+    acc.implication("in-particular", left, left and _equals_common(model), text)
 
 
 def _common_access(model: BeliefModel) -> bool:
@@ -694,40 +558,34 @@ def _common_access(model: BeliefModel) -> bool:
     )
 
 
-def _check_thm1_conjunctive(model: BeliefModel, acc: _Acc) -> None:
-    acc.add_instance()
-    gate = all(
+def _conjunctive_profile(model: BeliefModel) -> bool:
+    return all(
         _holds(op, Axiom.CONSISTENCY) and _holds(op, Axiom.COUNTABLE_CONJUNCTION)
         for op in model.operators.values()
     )
-    if not gate:
-        acc.record("forward", "vacuous")
-        acc.record("backward", "vacuous")
-        acc.record("in-particular", "vacuous")
+
+
+def _check_thm1_conjunctive(model: BeliefModel, acc: _Acc) -> None:
+    acc.add_instance()
+    if not _conjunctive_profile(model):
+        acc.vacuous()
         return
     left = _commonly_certain_of_profile(model)
     right = _common_access(model)
     text = _model_text(model)
     acc.biconditional(left, right, text)
-    if not left:
-        acc.record("in-particular", "vacuous")
-    else:
-        acc.implication(
-            "in-particular",
-            True,
-            operators_equal(model.common_operator(), model.mutual_operator()).holds,
-            text,
-        )
+    acc.implication(
+        "in-particular",
+        left,
+        left and operators_equal(model.common_operator(), model.mutual_operator()).holds,
+        text,
+    )
 
 
 def _check_thm1_converse_fails(model: BeliefModel, acc: _Acc) -> None:
     acc.add_instance()
-    gate = all(
-        _holds(op, Axiom.CONSISTENCY) and _holds(op, Axiom.COUNTABLE_CONJUNCTION)
-        for op in model.operators.values()
-    )
-    if not gate:
-        acc.record("witness", "vacuous")
+    if not _conjunctive_profile(model):
+        acc.vacuous()
         return
     fixed = operators_equal(model.common_operator(), model.mutual_operator()).holds
     if fixed and not _commonly_certain_of_profile(model):
@@ -888,32 +746,6 @@ def _check_compatibility_chain(model: BeliefModel, acc: _Acc) -> None:
     acc.record("implication", report.status, _model_text(model))
 
 
-def _check_thm2(gm: GameModel, acc: _Acc) -> None:
-    acc.add_instance()
-    for p in gm.game.players:
-        acc.record("implication", correct_belief_chain(gm, p).status, _game_text(gm))
-
-
-def _check_thm2_introspective(gm: GameModel, acc: _Acc) -> None:
-    acc.add_instance()
-    for p in gm.game.players:
-        acc.record(
-            "implication",
-            introspective_correct_belief_chain(gm, p).status,
-            _game_text(gm),
-        )
-
-
-def _check_thm2_self_evident(gm: GameModel, acc: _Acc) -> None:
-    acc.add_instance()
-    for p in gm.game.players:
-        acc.record(
-            "implication",
-            self_evident_rationality_chain(gm, p).status,
-            _game_text(gm),
-        )
-
-
 def _check_epistemic_iesda(gm: GameModel, acc: _Acc) -> None:
     # Status-equivalent to epistemic_iesda_verdict per state, with the
     # state-independent premises hoisted out of the loop.
@@ -933,51 +765,11 @@ def _check_epistemic_iesda(gm: GameModel, acc: _Acc) -> None:
         acc.implication("implication", premise, bool(survived >> k & 1), text)
 
 
-def _check_truth_implies_consistency(model: BeliefModel, acc: _Acc) -> None:
-    _, op = _single(model)
-    acc.add_instance()
-    acc.implication(
-        "implication",
-        _holds(op, Axiom.TRUTH),
-        _holds(op, Axiom.CONSISTENCY),
-        _model_text(model),
-    )
-
-
-def _check_truth_ni_imply_pi(model: BeliefModel, acc: _Acc) -> None:
-    _, op = _single(model)
-    acc.add_instance()
-    acc.implication(
-        "implication",
-        _holds(op, Axiom.TRUTH) and _holds(op, Axiom.NEGATIVE_INTROSPECTION),
-        _holds(op, Axiom.POSITIVE_INTROSPECTION),
-        _model_text(model),
-    )
-
-
-def _check_truth_ni_imply_conjunction(model: BeliefModel, acc: _Acc) -> None:
-    _, op = _single(model)
-    acc.add_instance()
-    acc.implication(
-        "implication",
-        _holds(op, Axiom.TRUTH) and _holds(op, Axiom.NEGATIVE_INTROSPECTION),
-        _holds(op, Axiom.FINITE_CONJUNCTION)
-        and _holds(op, Axiom.COUNTABLE_CONJUNCTION),
-        _model_text(model),
-    )
-
-
-def _check_kripke_implies_logical(model: BeliefModel, acc: _Acc) -> None:
-    _, op = _single(model)
-    acc.add_instance()
-    acc.implication(
-        "implication",
-        _holds(op, Axiom.KRIPKE),
-        _holds(op, Axiom.NECESSITATION)
-        and _holds(op, Axiom.FINITE_CONJUNCTION)
-        and _holds(op, Axiom.COUNTABLE_CONJUNCTION),
-        _model_text(model),
-    )
+# Claim shapes. Each factory builds the checks of one family of claims
+# that differ only in their parameters. Callees in other layers (the
+# access checks and the chains) are named, and looked up in this
+# module's namespace when the check runs, so a rebinding of the module
+# attribute (a tracer, a test's monkeypatch) reaches every built check.
 
 
 def _frame_check(axiom: Axiom, prop: FrameProperty):
@@ -986,14 +778,85 @@ def _frame_check(axiom: Axiom, prop: FrameProperty):
         acc.add_instance()
         if not op.has_correspondence():
             # table-built operators carry no frame to compare against
-            acc.record("forward", "vacuous")
-            acc.record("backward", "vacuous")
+            acc.vacuous()
             return
         acc.biconditional(
             _holds(op, axiom),
             correspondence_property(op.derive_correspondence(), prop),
             _model_text(model),
         )
+
+    return check
+
+
+def _own_type_check(
+    kind: FamilyKind,
+    conclusion: tuple[Axiom, ...],
+    gate: tuple[Axiom, ...] = (),
+    iff: bool = True,
+):
+    """Certainty of the player's own type mapping through `kind` against
+    the `conclusion` axioms, on operators satisfying the `gate` axioms."""
+
+    def check(model: BeliefModel, acc: _Acc) -> None:
+        p, op = _single(model)
+        acc.add_instance()
+        left = _certain_of_type(model, p, p, kind)
+        right = _all_hold(op, conclusion)
+        text = _model_text(model)
+        if iff:
+            acc.biconditional(left, right, text, _all_hold(op, gate))
+        else:
+            acc.implication("implication", left and _all_hold(op, gate), right, text)
+
+    return check
+
+
+def _cross_type_check(
+    kind: FamilyKind,
+    access: tuple[str, ...],
+    gate: tuple[Axiom, ...] = (),
+    iff: bool = True,
+):
+    """The first player's certainty of the second player's type mapping
+    through `kind` against the named access checks, on observers
+    satisfying the `gate` axioms."""
+
+    def check(model: BeliefModel, acc: _Acc) -> None:
+        i, j, op_i, op_j = _pair(model)
+        acc.add_instance()
+        left = _certain_of_type(model, i, j, kind)
+        right = all(globals()[name](op_i, op_j).holds for name in access)
+        text = _model_text(model)
+        if iff:
+            acc.biconditional(left, right, text, _all_hold(op_i, gate))
+        else:
+            acc.implication("implication", left and _all_hold(op_i, gate), right, text)
+
+    return check
+
+
+def _axiom_implication_check(premise: tuple[Axiom, ...], conclusion: tuple[Axiom, ...]):
+    def check(model: BeliefModel, acc: _Acc) -> None:
+        _, op = _single(model)
+        acc.add_instance()
+        acc.implication(
+            "implication",
+            _all_hold(op, premise),
+            _all_hold(op, conclusion),
+            _model_text(model),
+        )
+
+    return check
+
+
+def _chain_check(chain: str):
+    """Every player's verdict from the named chain in `games`."""
+
+    def check(gm: GameModel, acc: _Acc) -> None:
+        acc.add_instance()
+        for p in gm.game.players:
+            acc.record("implication", globals()[chain](gm, p).status, _game_text(gm))
 
     return check
 
@@ -1037,6 +900,10 @@ class ClaimSpec:
 
 
 _IFF = ("forward", "backward")
+_INTROSPECTION = (Axiom.POSITIVE_INTROSPECTION, Axiom.NEGATIVE_INTROSPECTION)
+_CONJUNCTIVE = (Axiom.CONSISTENCY, Axiom.COUNTABLE_CONJUNCTION)
+_TRUTH_NI = (Axiom.TRUTH, Axiom.NEGATIVE_INTROSPECTION)
+_ACCESS = ("positive_access", "negative_access")
 _GAME_MODES = ("exhaustive-games", "sampled-monotone", "from-files")
 
 _CLAIMS = (
@@ -1048,7 +915,7 @@ _CLAIMS = (
         "certainty of the own type mapping through believed-event sets "
         "is equivalent to Positive Introspection",
         _IFF,
-        _check_own_beta_iff_pi,
+        _own_type_check(FamilyKind.BETA, (Axiom.POSITIVE_INTROSPECTION,)),
     ),
     ClaimSpec(
         "own-negbeta-certainty-iff-negative-introspection",
@@ -1058,7 +925,7 @@ _CLAIMS = (
         "certainty through complements of believed-event sets is "
         "equivalent to Negative Introspection",
         _IFF,
-        _check_own_negbeta_iff_ni,
+        _own_type_check(FamilyKind.NEG_BETA, (Axiom.NEGATIVE_INTROSPECTION,)),
     ),
     ClaimSpec(
         "own-type-certainty-implies-introspection",
@@ -1068,7 +935,7 @@ _CLAIMS = (
         "certainty of the own type mapping on atoms implies both "
         "introspection properties",
         ("implication",),
-        _check_own_sigma_implies_introspection,
+        _own_type_check(FamilyKind.SIGMA_ATOMS, _INTROSPECTION, iff=False),
     ),
     ClaimSpec(
         "truthful-own-type-certainty-iff-negative-introspection",
@@ -1078,7 +945,9 @@ _CLAIMS = (
         "under the Truth Axiom, certainty of the own type mapping on "
         "atoms is equivalent to Negative Introspection",
         _IFF,
-        _check_truthful_sigma_iff_ni,
+        _own_type_check(
+            FamilyKind.SIGMA_ATOMS, (Axiom.NEGATIVE_INTROSPECTION,), gate=(Axiom.TRUTH,)
+        ),
     ),
     ClaimSpec(
         "consistent-conjunctive-own-type-certainty-iff-introspection",
@@ -1088,7 +957,7 @@ _CLAIMS = (
         "under Consistency and Countable Conjunction, certainty of the "
         "own type mapping on atoms is equivalent to both introspections",
         _IFF,
-        _check_conjunctive_sigma_iff_introspection,
+        _own_type_check(FamilyKind.SIGMA_ATOMS, _INTROSPECTION, gate=_CONJUNCTIVE),
     ),
     ClaimSpec(
         "cross-beta-certainty-iff-positive-access",
@@ -1098,7 +967,7 @@ _CLAIMS = (
         "certainty of another player's believed-event sets is "
         "equivalent to believing everything they believe",
         _IFF,
-        _check_cross_beta_iff_positive,
+        _cross_type_check(FamilyKind.BETA, ("positive_access",)),
     ),
     ClaimSpec(
         "cross-negbeta-certainty-iff-negative-access",
@@ -1108,7 +977,7 @@ _CLAIMS = (
         "certainty of another player's unbelieved-event sets is "
         "equivalent to believing everything they fail to believe",
         _IFF,
-        _check_cross_negbeta_iff_negative,
+        _cross_type_check(FamilyKind.NEG_BETA, ("negative_access",)),
     ),
     ClaimSpec(
         "cross-type-certainty-implies-access",
@@ -1118,7 +987,7 @@ _CLAIMS = (
         "certainty of another player's type mapping on atoms implies "
         "both access properties",
         ("implication",),
-        _check_cross_sigma_implies_access,
+        _cross_type_check(FamilyKind.SIGMA_ATOMS, _ACCESS, iff=False),
     ),
     ClaimSpec(
         "truthful-cross-type-certainty-iff-access",
@@ -1128,7 +997,7 @@ _CLAIMS = (
         "under the observer's Truth Axiom, certainty of another "
         "player's type mapping is equivalent to both access properties",
         _IFF,
-        _check_truthful_cross_sigma_iff_access,
+        _cross_type_check(FamilyKind.SIGMA_ATOMS, _ACCESS, gate=(Axiom.TRUTH,)),
     ),
     ClaimSpec(
         "consistent-conjunctive-cross-type-certainty-iff-access",
@@ -1139,7 +1008,7 @@ _CLAIMS = (
         "certainty of another player's type mapping is equivalent to "
         "both access properties",
         _IFF,
-        _check_conjunctive_cross_sigma_iff_access,
+        _cross_type_check(FamilyKind.SIGMA_ATOMS, _ACCESS, gate=_CONJUNCTIVE),
     ),
     ClaimSpec(
         "truthful-common-type-certainty-iff-shared-introspective-beliefs",
@@ -1225,7 +1094,7 @@ _CLAIMS = (
         "Conjunction make every player correctly believe own "
         "rationality",
         ("implication",),
-        _check_thm2,
+        _chain_check("correct_belief_chain"),
         _GAME_MODES,
     ),
     ClaimSpec(
@@ -1236,7 +1105,7 @@ _CLAIMS = (
         "consistent, positively introspective Kripke players who are "
         "certain of their strategies correctly believe own rationality",
         ("implication",),
-        _check_thm2_introspective,
+        _chain_check("introspective_correct_belief_chain"),
         _GAME_MODES,
     ),
     ClaimSpec(
@@ -1248,7 +1117,7 @@ _CLAIMS = (
         "strategies, own rationality is self-evident: the event implies "
         "belief in it",
         ("implication",),
-        _check_thm2_self_evident,
+        _chain_check("self_evident_rationality_chain"),
         _GAME_MODES,
     ),
     ClaimSpec(
@@ -1270,7 +1139,7 @@ _CLAIMS = (
         "theorem",
         "the Truth Axiom implies Consistency",
         ("implication",),
-        _check_truth_implies_consistency,
+        _axiom_implication_check((Axiom.TRUTH,), (Axiom.CONSISTENCY,)),
     ),
     ClaimSpec(
         "truth-and-negative-introspection-imply-positive",
@@ -1280,7 +1149,7 @@ _CLAIMS = (
         "the Truth Axiom with Negative Introspection implies Positive "
         "Introspection",
         ("implication",),
-        _check_truth_ni_imply_pi,
+        _axiom_implication_check(_TRUTH_NI, (Axiom.POSITIVE_INTROSPECTION,)),
     ),
     ClaimSpec(
         "truth-and-negative-introspection-imply-conjunction",
@@ -1290,7 +1159,9 @@ _CLAIMS = (
         "the Truth Axiom with Negative Introspection implies both "
         "conjunction axioms",
         ("implication",),
-        _check_truth_ni_imply_conjunction,
+        _axiom_implication_check(
+            _TRUTH_NI, (Axiom.FINITE_CONJUNCTION, Axiom.COUNTABLE_CONJUNCTION)
+        ),
     ),
     ClaimSpec(
         "kripke-implies-logical-omniscience",
@@ -1300,7 +1171,10 @@ _CLAIMS = (
         "the Kripke property implies Necessitation and both conjunction "
         "axioms",
         ("implication",),
-        _check_kripke_implies_logical,
+        _axiom_implication_check(
+            (Axiom.KRIPKE,),
+            (Axiom.NECESSITATION, Axiom.FINITE_CONJUNCTION, Axiom.COUNTABLE_CONJUNCTION),
+        ),
     ),
     ClaimSpec(
         "consistency-iff-serial",
@@ -1411,12 +1285,6 @@ def _run_range(claim_id: str, source: ModelSource, lo: int, hi: int, cap: int) -
     return acc
 
 
-def _run_range_payload(
-    claim_id: str, source: ModelSource, lo: int, hi: int, cap: int
-) -> tuple:
-    return _run_range(claim_id, source, lo, hi, cap).payload()
-
-
 def _worker_count(jobs: int, total: int) -> int:
     """Processes for an audit asked to use `jobs`: never more than the
     instances to share out or the CPUs to run them on."""
@@ -1451,13 +1319,12 @@ def audit(
         bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_range_payload, spec.canonical, source, lo, hi, cap)
+                pool.submit(_run_range, spec.canonical, source, lo, hi, cap)
                 for lo, hi in bounds
             ]
-            payloads = [f.result() for f in futures]
-        acc = _Acc.from_payload(spec.directions, cap, payloads[0])
-        for payload in payloads[1:]:
-            acc.merge(_Acc.from_payload(spec.directions, cap, payload))
+            acc, *rest = [f.result() for f in futures]
+        for other in rest:
+            acc.merge(other)
     return AuditResult(
         claim=spec.canonical,
         aliases=spec.aliases,

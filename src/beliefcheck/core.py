@@ -10,7 +10,6 @@ up to SPACE_LIMIT.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence

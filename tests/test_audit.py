@@ -1,5 +1,6 @@
 """Audit harness: instance streams, claim registry, and sweep results."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -37,7 +38,7 @@ from beliefcheck.core import (
     iterated_mutual_bits,
 )
 from beliefcheck.dsl import parse_model_spec, serialize_model
-from beliefcheck.games import epistemic_iesda_verdict
+from beliefcheck.games import correct_belief_chain, epistemic_iesda_verdict
 import random
 
 
@@ -467,3 +468,108 @@ class TestResultShape:
         )
         doc = parse_model_spec(result.violations[0])
         assert len(doc.signals) == 1
+
+
+# SHA-256 of every claim's sorted JSON report on three fixed sources:
+# any change to a verdict, a tally or a listed witness moves a digest.
+DIGEST_SOURCES = {
+    "exhaustive": ModelSource(mode="exhaustive-kripke", n_states=2),
+    "sampled": ModelSource(mode="sampled-monotone", n_states=3, seed=3, count=300),
+    "games": ModelSource(
+        mode="sampled-monotone", n_states=3, n_actions=2, seed=5, count=150
+    ),
+}
+REPORT_DIGESTS = {
+    ("own-beta-certainty-iff-positive-introspection", "exhaustive"): "0465a7c949e2e72c6b85b2a7e5b5397242c533c9e710d483c275ebe8502f5114",
+    ("own-beta-certainty-iff-positive-introspection", "sampled"): "71d5b5fd0d8a9650384d7e9e240142e351a965bde5d61104f163996e1102c4d1",
+    ("own-negbeta-certainty-iff-negative-introspection", "exhaustive"): "73b1500a48c87ee3c6e91323cbac52c2177eca87f3404ab7e7b8dfdb03320086",
+    ("own-negbeta-certainty-iff-negative-introspection", "sampled"): "2fa5966a54de78a1e3d85686b1f3a97e6983239a8dd6652ba72e31df034b8342",
+    ("own-type-certainty-implies-introspection", "exhaustive"): "afd3f7066a83ee2abf2f36cd217e41d3998526f4362f402fcc063d304ceeb867",
+    ("own-type-certainty-implies-introspection", "sampled"): "8c34d4fa6212447cecbe731906bb9e05ade607dda21f75b16adacc98ebfa0168",
+    ("truthful-own-type-certainty-iff-negative-introspection", "exhaustive"): "c4b3ffb80c8c3f5c221d38533749d7552dc28a219c34a86e5a33eb9fa5060812",
+    ("truthful-own-type-certainty-iff-negative-introspection", "sampled"): "34d9c4fe465267d21b9ca3e0043756dbd8ac6e0967c1d5b4cd4ad8d733fbf78c",
+    ("consistent-conjunctive-own-type-certainty-iff-introspection", "exhaustive"): "7a3bc134f621c2ae0a2ccae303fd2c153adb20d323f9b99c838cfb0d8c828118",
+    ("consistent-conjunctive-own-type-certainty-iff-introspection", "sampled"): "ae761049148e1b55062ffef37826ada564315879ef7589ba0d7794e44bf50153",
+    ("cross-beta-certainty-iff-positive-access", "exhaustive"): "b1dc0a0df427d5a1ff0e2c0415b4b54baed0fb3c0607da7728a5a1fd6bc1ee30",
+    ("cross-beta-certainty-iff-positive-access", "sampled"): "6e13f845f17684ac6028182bd3797f0b86833a2b2130af7de93c6583f426684b",
+    ("cross-negbeta-certainty-iff-negative-access", "exhaustive"): "a29b9064f1107a471267992f2e4af53cd49ed03ecfcffe41d88cb2bb1c49346a",
+    ("cross-negbeta-certainty-iff-negative-access", "sampled"): "d1a8cc3aed25f0df65fc7b9d9ed147b231c3383fd24dfd408d188a50542df525",
+    ("cross-type-certainty-implies-access", "exhaustive"): "cec066f0ed802832fd86aa542c6d1e27e6c0eb5392c6d09366dccaa3c6d0c9f4",
+    ("cross-type-certainty-implies-access", "sampled"): "b8b0fb5f50cb9c699425bddd8984d047176aeaa42ed025c3e6d348052a043784",
+    ("truthful-cross-type-certainty-iff-access", "exhaustive"): "463873d25bcaf5cf62da3fc2a809bf34e69ff6486ae3fa3015a677574caa3435",
+    ("truthful-cross-type-certainty-iff-access", "sampled"): "a6684f064a727eced724aabf098e16b2f54c5c043dbed6fd8a35fbc5f31e5b63",
+    ("consistent-conjunctive-cross-type-certainty-iff-access", "exhaustive"): "0f98c5fdae90b87639adcac89309cae72b16ff200ad722ae55a790bc717279cf",
+    ("consistent-conjunctive-cross-type-certainty-iff-access", "sampled"): "a5683d890cb2ba6d676ea3a25e306fa7e3eeb137bc4bc90d7761e3c9ce3bbbeb",
+    ("truthful-common-type-certainty-iff-shared-introspective-beliefs", "exhaustive"): "c1464a2a33618d5462dc56475cf06c9dd98bad8482d2ce5cf50e5eab84b0abf2",
+    ("truthful-common-type-certainty-iff-shared-introspective-beliefs", "sampled"): "91c23908ae315fd57b16bec6524e266c72e21a87b92c31d73e76d980a47a512c",
+    ("conjunctive-common-type-certainty-iff-common-access", "exhaustive"): "435a92da0cef7bc83287b5c37ddbb5fb82d60a0cebea8e6795cf2fa7715f0a4a",
+    ("conjunctive-common-type-certainty-iff-common-access", "sampled"): "79f164aee5a93c8c12416ce9b2bf6dcba3a72680d8bd5f323215b071a5293982",
+    ("common-access-without-common-type-certainty-exists", "exhaustive"): "1aa369f2eec19a270aa2146c04651bcfcd63a990f34e82e1fffc741edb4967c9",
+    ("common-access-without-common-type-certainty-exists", "sampled"): "9f70453418b9dc9c71ad0a0123480f0ee327482e90a4ddbd203ac4552aa5350c",
+    ("certainty-transfers-through-type-certainty", "exhaustive"): "27734923eb2ae4989e38a01a11e0b15fdd3da9915a50fde64b73981d665bd367",
+    ("certainty-transfers-through-type-certainty", "sampled"): "2aa5acb165443895a64d0da4ca2cbe492ca53ed76243b1f23c9bed027a41c7f9",
+    ("common-type-certainty-shares-signal-certainty", "exhaustive"): "4f9bcc7cffff136515a321de3a92c433d4e44cc9e0edf055311091fe3ba50b5e",
+    ("common-type-certainty-shares-signal-certainty", "sampled"): "fc50f63ff77e1482c01022b925faecc0ffdf397993e931325049db548ff82995",
+    ("complement-cover-condition-is-needed", "exhaustive"): "967c07bb9370351ef0fca3b796f96a8f5a562a2f750e4e788947c91a226458ba",
+    ("complement-cover-condition-is-needed", "sampled"): "dcb762a5266dc093976021622d8f02241c3c8189bc7df38258a01fcbb403f5b3",
+    ("own-upward-certainty-implies-compatibility", "exhaustive"): "d4ccd52797bad5e3ce5e6a69c852d8b05c3cb089aba01488fa2dc2251391d13c",
+    ("own-upward-certainty-implies-compatibility", "sampled"): "5b0f2d4492b689bda8755129535eea1905de5c38552817ad23bbb588b12abc5c",
+    ("certain-compatible-conjunctive-players-believe-own-rationality", "games"): "cb292d90a624dcbe638adc70abea78f846b04a932b26b6dab7acedfa1e0a22e4",
+    ("consistent-introspective-kripke-players-believe-own-rationality", "games"): "d02f93b7a836456fb195cef1aa94efd88ab9dbf29fe61a8f0e5374c2cab23a77",
+    ("negatively-introspective-kripke-rationality-is-self-evident", "games"): "bad3d4c43bcaa5a06a44bd152090021c369e809da8aad3b8654f7090ce37e60f",
+    ("common-rationality-belief-implies-iesda-survival", "games"): "b9374b709c0d930aff4a7b9aea690a476e2e32bcd717f3909aa29b1dbf296641",
+    ("truth-implies-consistency", "exhaustive"): "3238ac539ff73b91be4aec79b3058798c34ff84468348fed694c7e9eca633da2",
+    ("truth-implies-consistency", "sampled"): "6e497bdef7b6e2b5e786168bc02fc42c221dd16e7e92a7808931513035a6f858",
+    ("truth-and-negative-introspection-imply-positive", "exhaustive"): "481244f7ea913b3075adedb9562eff3a0c2294658012254f96ae127ca412ecb3",
+    ("truth-and-negative-introspection-imply-positive", "sampled"): "cfb69bd07bb4ae8ef2cefd69f3e748d2258fba18cc6c8b5c6a3bd9a8ea97c6a2",
+    ("truth-and-negative-introspection-imply-conjunction", "exhaustive"): "7b26984be29919ae4ccd309f4c31242a6c5476801e361e2500a0b30ec84b9b18",
+    ("truth-and-negative-introspection-imply-conjunction", "sampled"): "651ad44aaa390a6e460f792d9e8fedb2eae39e0c46e5466924b3e0e24abbf05d",
+    ("kripke-implies-logical-omniscience", "exhaustive"): "ff79d710f959d32903cfaaf7981da98aabcaf07d65b56c3ee3e1377db51be032",
+    ("kripke-implies-logical-omniscience", "sampled"): "5f49cbb08215ba917078ece942fef77ab32feed0cbe17b59a84c79158c42c5ba",
+    ("consistency-iff-serial", "exhaustive"): "61ef8488cb52e175ca305b49c5c3e1d4c215b76051630a1b04c2409ea525c51e",
+    ("truth-iff-reflexive", "exhaustive"): "ce488c41fa6835456b9edac710e3878d876f39084325906bae3d977839fcc5d1",
+    ("positive-introspection-iff-transitive", "exhaustive"): "0ffa87427d2e9fbf6d99662e722925c29caa117ee8d2a674f85892801939a936",
+    ("negative-introspection-iff-euclidean", "exhaustive"): "c1b979851c81cc057760f45687fc2f8b3cdf7042e1a4f115308cd1f33ca32e7b",
+    ("common-belief-matches-iteration", "exhaustive"): "80ce349e7c0c0d6b57d4e791e5ddaba6a8a758bda58e64cae3629a2dc9c546ae",
+    ("common-belief-matches-iteration", "sampled"): "0b7663da62a346a8b4dda0c48df570b144a25cd3ca7917c16e529f3fdf6da607",
+    ("strictly-finer-common-belief-exists", "exhaustive"): "454e899261a590902015987f101cfe75f7316e8ead362fb4617aa420f79093ee",
+    ("strictly-finer-common-belief-exists", "sampled"): "38c24939f9fdc6606f31819bf078a085571438bd29ae082e69284f61f627b1a4",
+    ("beta-certainty-without-negbeta-certainty-exists", "exhaustive"): "b8e5b5ef5eadea27d8e3acf46566ff1ae80ebfd17d48790c924c1904f4f3739d",
+    ("beta-certainty-without-negbeta-certainty-exists", "sampled"): "d885b022cc99bbdd9ab79247fe37323bb7ed05ca9e6fc55d4f6a1c4c8ba0209e",
+}
+
+
+def _digest_sources(spec):
+    if spec.arena == "game":
+        return ("games",)
+    if "sampled-monotone" in spec.modes:
+        return ("exhaustive", "sampled")
+    return ("exhaustive",)
+
+
+class TestReportDigests:
+    def test_every_claim_and_source_is_pinned(self):
+        wanted = {(s.canonical, label) for s in _CLAIMS for label in _digest_sources(s)}
+        assert set(REPORT_DIGESTS) == wanted
+        assert len(wanted) == 56
+
+    @pytest.mark.parametrize("claim,label", sorted(REPORT_DIGESTS))
+    def test_report_is_unchanged(self, claim, label):
+        result = audit(claim, DIGEST_SOURCES[label])
+        text = json.dumps(result.to_dict(), sort_keys=True, ensure_ascii=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[claim, label]
+
+
+class TestCalleesResolvedAtCallTime:
+    def test_patched_chain_sees_every_player(self, monkeypatch):
+        calls = []
+
+        def counting(gm, player):
+            calls.append(player)
+            return correct_belief_chain(gm, player)
+
+        monkeypatch.setattr("beliefcheck.audit.correct_belief_chain", counting)
+        src = ModelSource(mode="sampled-monotone", n_states=2, n_actions=2, seed=1, count=12)
+        result = audit("thm2", src)
+        assert result.instances == 12
+        assert len(calls) == 2 * 12

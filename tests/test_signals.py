@@ -28,6 +28,19 @@ from beliefcheck.signals import (
 )
 
 
+def _oracle_failures(space, signal, believed):
+    failures = []
+    for state in space.states:
+        value = signal.value_at(state)
+        for member in signal.family:
+            if value not in member:
+                continue
+            pre = [s for s in space.states if signal.value_at(s) in member]
+            if not believed(state, pre):
+                failures.append((state, member))
+    return failures
+
+
 def certainty_oracle(model, player, signal):
     """Quantifier-level restatement: every consistent observation is believed.
 
@@ -36,16 +49,33 @@ def certainty_oracle(model, player, signal):
     """
     space = model.space
     op = model.operator(player)
-    failures = []
-    for state in space.states:
-        value = signal.value_at(state)
-        for member in signal.family:
-            if value not in member:
-                continue
-            pre = [s for s in space.states if signal.value_at(s) in member]
-            if not op.believes(state, space.event(pre)):
-                failures.append((state, member))
-    return failures
+    return _oracle_failures(
+        space, signal, lambda state, pre: op.believes(state, space.event(pre))
+    )
+
+
+def common_belief_oracle(model, states):
+    """Union of the publicly evident sets F, each state of F believing
+    both the event and F, found by trying every subset of the space."""
+    space = model.space
+    event = space.event(states)
+    ops = [model.operator(p) for p in model.players]
+    out = set()
+    for r in range(space.n + 1):
+        for sub in itertools.combinations(space.states, r):
+            f = space.event(sub)
+            if all(op.believes(s, event) and op.believes(s, f) for op in ops for s in sub):
+                out.update(sub)
+    return out
+
+
+def common_certainty_oracle(model, signal):
+    """certainty_oracle with common belief in place of one player's."""
+    return _oracle_failures(
+        model.space,
+        signal,
+        lambda state, pre: state in common_belief_oracle(model, pre),
+    )
 
 
 def one_player(op):
@@ -138,6 +168,38 @@ class TestCertainty:
             model = one_player(op)
             report = certain_of(model, "1", sig)
             assert list(report.failures) == certainty_oracle(model, "1", sig)
+
+    def test_oracle_agreement_on_every_monotone_pair(self, space2):
+        tables = [
+            t for t in itertools.product(range(4), repeat=4)
+            if all(t[a] & ~t[a | b] == 0 for a in range(4) for b in range(4))
+        ]
+        ops = [BeliefOperator.from_table(space2, list(t)) for t in tables]
+        assert len(ops) == 36
+        signals = [
+            Signal.of(space2, ("a", "b")),
+            Signal.of(space2, ("a", "a"), codomain=("a", "b")),
+            Signal.of(space2, ("a", "b"), family=powerset_family(("a", "b"))),
+            Signal.of(space2, ("b", "a"), family=[{"a"}, {"b"}, {"a"}]),
+            Signal.of(
+                space2, ("a", "c"), codomain=("a", "b", "c"),
+                family=[set(), {"a", "b"}, {"c"}, {"a", "b"}],
+            ),
+        ]
+        for first, second in itertools.product(ops, repeat=2):
+            model = BeliefModel(space2, {"1": first, "2": second})
+            for sig in signals:
+                common = common_certainty_oracle(model, sig)
+                assert list(commonly_certain_of(model, sig).failures) == common
+                for state in space2.states:
+                    expect = all(s != state for s, _ in common)
+                    assert commonly_certain_of_value_at(model, sig, state) == expect
+                for player in model.players:
+                    own = certainty_oracle(model, player, sig)
+                    assert list(certain_of(model, player, sig).failures) == own
+                    for state in space2.states:
+                        expect = all(s != state for s, _ in own)
+                        assert certain_of_value_at(model, player, sig, state) == expect
 
     def test_certainty_of_constants_is_necessitation(self, space2):
         # sweeps operators where B(Ω) actually varies
