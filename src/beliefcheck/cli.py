@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from . import __version__
 from .audit import MODES, ModelSource, VIOLATION_CAP, audit, claim_ids
 from .audit import enumerate_correspondences, resolve_claim
-from .core import BeliefModel, Event
+from .core import TABLE_LIMIT, Event, StateSpace
 from .dsl import ModelSpecDocument, ModelSpecError, parse_event_literal
 from .dsl import parse_model_spec
 from .games import (
@@ -105,6 +105,15 @@ def _build(factory: Callable):
         raise _InputError(str(message)) from exc
 
 
+def _require_tables(space: StateSpace) -> None:
+    # axioms, meta and game read every operator's explicit event table
+    if space.n > TABLE_LIMIT:
+        raise _InputError(
+            f"{space.n} states: this command needs explicit event tables, "
+            f"which allow at most {TABLE_LIMIT} states"
+        )
+
+
 def _event_json(event: Event) -> list[str]:
     return list(event)
 
@@ -126,6 +135,7 @@ def _value_set_text(members, codomain) -> str:
 def _cmd_axioms(args, em: _Emitter) -> int:
     doc = _load_document(args.file)
     model = _build(doc.belief_model)
+    _require_tables(model.space)
     if args.player is not None and args.player not in model.players:
         raise _InputError(f"unknown player: {args.player!r}")
     players = (args.player,) if args.player is not None else model.players
@@ -227,6 +237,7 @@ def _who_text(who: str) -> str:
 def _cmd_meta(args, em: _Emitter) -> int:
     doc = _load_document(args.file)
     model = _build(doc.belief_model)
+    _require_tables(model.space)
     report = meta_certainty_report(model)
     passed = report.commonly_certain
     witnesses: list[str] = []
@@ -278,6 +289,7 @@ def _cmd_meta(args, em: _Emitter) -> int:
 def _cmd_game(args, em: _Emitter) -> int:
     doc = _load_document(args.file)
     gm: GameModel = _build(doc.game_model)
+    _require_tables(gm.space)
     if args.state is not None and args.state not in gm.space.states:
         raise _InputError(f"unknown state: {args.state!r}")
     states = (args.state,) if args.state is not None else gm.space.states

@@ -57,17 +57,6 @@ class FrameProperty(str, Enum):
         raise ValueError(f"unknown frame property: {value!r}")
 
 
-# Frame side of each frame-characterized axiom, for correspondence-backed
-# operators. The equivalence itself is a checked claim, not an assumption:
-# check_axiom always evaluates the operator table.
-FRAME_OF_AXIOM = {
-    Axiom.CONSISTENCY: FrameProperty.SERIAL,
-    Axiom.TRUTH: FrameProperty.REFLEXIVE,
-    Axiom.POSITIVE_INTROSPECTION: FrameProperty.TRANSITIVE,
-    Axiom.NEGATIVE_INTROSPECTION: FrameProperty.EUCLIDEAN,
-}
-
-
 class ImplicationStatus(str, Enum):
     VACUOUS = "vacuous"
     CONFIRMED = "confirmed"
@@ -544,6 +533,21 @@ def _lowest_state(space: StateSpace, bits: int) -> str:
     return space.states[(bits & -bits).bit_length() - 1]
 
 
+def _witness(space: StateSpace, e: int, bad: int) -> tuple[Event, str] | None:
+    """(event e, lowest state of bad) for a failure mask bad at event
+    mask e; None when bad is empty, so nothing failed there."""
+    return (Event(space, e), _lowest_state(space, bad)) if bad else None
+
+
+def _first_failure(space: StateSpace, masks: Iterable[int]) -> tuple[Event, str] | None:
+    """Witness of the first nonzero failure mask; masks[e] holds the
+    states failing at event mask e, in event order."""
+    for e, bad in enumerate(masks):
+        if bad:
+            return _witness(space, e, bad)
+    return None
+
+
 def _check_monotonicity(space: StateSpace, table: Sequence[int]) -> AxiomReport:
     n = space.n
     if _is_monotone(table, n):
@@ -556,11 +560,8 @@ def _check_monotonicity(space: StateSpace, table: Sequence[int]) -> AxiomReport:
 
 def _check_necessitation(space: StateSpace, table: Sequence[int]) -> AxiomReport:
     full = space.size - 1
-    img = table[full]
-    if img == full:
-        return AxiomReport(Axiom.NECESSITATION, True)
-    witness = (space.full, _lowest_state(space, full & ~img))
-    return AxiomReport(Axiom.NECESSITATION, False, witness)
+    witness = _witness(space, full, full & ~table[full])
+    return AxiomReport(Axiom.NECESSITATION, witness is None, witness)
 
 
 def _conjunction_witness(space: StateSpace, table: Sequence[int]) -> tuple | None:
@@ -599,53 +600,33 @@ def _check_countable_conjunction(space: StateSpace, table: Sequence[int]) -> Axi
 
 
 def _check_kripke(space: StateSpace, table: Sequence[int]) -> AxiomReport:
-    n = space.n
-    recon = kripke_table(derive_possible(table, n), n)
-    for e in range(1 << n):
-        if recon[e] != table[e]:
-            diff = recon[e] ^ table[e]
-            witness = (Event(space, e), _lowest_state(space, diff))
-            return AxiomReport(Axiom.KRIPKE, False, witness)
-    return AxiomReport(Axiom.KRIPKE, True)
+    recon = kripke_table(derive_possible(table, space.n), space.n)
+    witness = _first_failure(space, (a ^ b for a, b in zip(recon, table)))
+    return AxiomReport(Axiom.KRIPKE, witness is None, witness)
 
 
 def _check_consistency(space: StateSpace, table: Sequence[int]) -> AxiomReport:
     full = space.size - 1
-    for e in range(space.size):
-        bad = table[e] & table[full & ~e]
-        if bad:
-            witness = (Event(space, e), _lowest_state(space, bad))
-            return AxiomReport(Axiom.CONSISTENCY, False, witness)
-    return AxiomReport(Axiom.CONSISTENCY, True)
+    clashes = (img & table[full & ~e] for e, img in enumerate(table))
+    witness = _first_failure(space, clashes)
+    return AxiomReport(Axiom.CONSISTENCY, witness is None, witness)
 
 
 def _check_truth(space: StateSpace, table: Sequence[int]) -> AxiomReport:
-    for e in range(space.size):
-        bad = table[e] & ~e
-        if bad:
-            witness = (Event(space, e), _lowest_state(space, bad))
-            return AxiomReport(Axiom.TRUTH, False, witness)
-    return AxiomReport(Axiom.TRUTH, True)
+    witness = _first_failure(space, (img & ~e for e, img in enumerate(table)))
+    return AxiomReport(Axiom.TRUTH, witness is None, witness)
 
 
 def _check_positive_introspection(space: StateSpace, table: Sequence[int]) -> AxiomReport:
-    for e in range(space.size):
-        bad = table[e] & ~table[table[e]]
-        if bad:
-            witness = (Event(space, e), _lowest_state(space, bad))
-            return AxiomReport(Axiom.POSITIVE_INTROSPECTION, False, witness)
-    return AxiomReport(Axiom.POSITIVE_INTROSPECTION, True)
+    witness = _first_failure(space, (img & ~table[img] for img in table))
+    return AxiomReport(Axiom.POSITIVE_INTROSPECTION, witness is None, witness)
 
 
 def _check_negative_introspection(space: StateSpace, table: Sequence[int]) -> AxiomReport:
     full = space.size - 1
-    for e in range(space.size):
-        not_believed = full & ~table[e]
-        bad = not_believed & ~table[not_believed]
-        if bad:
-            witness = (Event(space, e), _lowest_state(space, bad))
-            return AxiomReport(Axiom.NEGATIVE_INTROSPECTION, False, witness)
-    return AxiomReport(Axiom.NEGATIVE_INTROSPECTION, True)
+    outside = (full & ~img for img in table)
+    witness = _first_failure(space, (out & ~table[out] for out in outside))
+    return AxiomReport(Axiom.NEGATIVE_INTROSPECTION, witness is None, witness)
 
 
 # Each check decides its axiom on any table, monotone or not, so
@@ -824,14 +805,9 @@ def operator_leq(
     """Is left(E) contained in right(E) for every event?"""
     if left.space != right.space:
         raise ValueError("operators on different state spaces")
-    space = left.space
-    lt, rt = left.table(), right.table()
-    for e in range(space.size):
-        bad = lt[e] & ~rt[e]
-        if bad:
-            witness = (Event(space, e), _lowest_state(space, bad))
-            return CheckReport(name, False, witness)
-    return CheckReport(name, True)
+    pairs = zip(left.table(), right.table())
+    witness = _first_failure(left.space, (a & ~b for a, b in pairs))
+    return CheckReport(name, witness is None, witness)
 
 
 def operators_equal(
@@ -840,11 +816,6 @@ def operators_equal(
     """Extensional equality with the first differing event and state as witness."""
     if left.space != right.space:
         raise ValueError("operators on different state spaces")
-    space = left.space
-    lt, rt = left.table(), right.table()
-    for e in range(space.size):
-        diff = lt[e] ^ rt[e]
-        if diff:
-            witness = (Event(space, e), _lowest_state(space, diff))
-            return CheckReport(name, False, witness)
-    return CheckReport(name, True)
+    pairs = zip(left.table(), right.table())
+    witness = _first_failure(left.space, (a ^ b for a, b in pairs))
+    return CheckReport(name, witness is None, witness)

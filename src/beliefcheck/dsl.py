@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import BeliefModel, BeliefOperator, Event, StateSpace
+from .core import PossibilityCorrespondence
 from .games import Game, GameModel
 from .signals import Signal
 
@@ -82,6 +83,7 @@ def _lex(text: str) -> list[Token]:
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         if ch in PUNCT:
             tokens.append(Token(PUNCT[ch], ch, line, col))
@@ -189,7 +191,7 @@ def _operator_from_spec(space: StateSpace, spec: PlayerSpec) -> BeliefOperator:
             space.event(states).bits for _, states in spec.kripke
         )
         return BeliefOperator.from_correspondence(
-            _correspondence(space, possible), owner=spec.name
+            PossibilityCorrespondence(space, possible), owner=spec.name
         )
     images = {
         space.event(key): space.event(value) for key, value in spec.entries
@@ -197,12 +199,6 @@ def _operator_from_spec(space: StateSpace, spec: PlayerSpec) -> BeliefOperator:
     if spec.kind == "table":
         return BeliefOperator.from_table(space, images, owner=spec.name)
     return BeliefOperator.monotone_closure(space, images, owner=spec.name)
-
-
-def _correspondence(space: StateSpace, possible: tuple[int, ...]):
-    from .core import PossibilityCorrespondence
-
-    return PossibilityCorrespondence(space, possible)
 
 
 class _Parser:

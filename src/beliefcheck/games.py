@@ -23,7 +23,7 @@ from .core import (
     ImplicationReport,
     ImplicationStatus,
 )
-from .core import _lowest_state
+from .core import _witness
 from .informativeness import COMPATIBILITY, compatible_with_informativeness
 from .signals import CertaintyReport, Signal, certain_of
 
@@ -122,12 +122,7 @@ class Game:
     ) -> bool:
         if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}")
-        a, b = self.rank(player, left), self.rank(player, right)
-        if relation == ">=":
-            return a >= b
-        if relation == ">":
-            return a > b
-        return a == b
+        return _COMPARE[relation](self.rank(player, left), self.rank(player, right))
 
 
 @dataclass(frozen=True)
@@ -329,26 +324,10 @@ def strategy_certainty(gm: GameModel, player: str) -> StrategyCertaintyReport:
             (f"B([σ_{player} = {action}]) = [σ_{player} = {action}]", ev),
             (f"B(¬[σ_{player} = {action}]) = ¬[σ_{player} = {action}]", full & ~ev),
         ):
-            image = op.apply_bits(target)
-            if image == target:
-                identities.append(CheckReport(name, True))
-            else:
-                diff = image ^ target
-                identities.append(
-                    CheckReport(
-                        name,
-                        False,
-                        (Event(space, target), _lowest_state(space, diff)),
-                    )
-                )
-    image = op.apply_bits(full)
-    identities.append(
-        CheckReport(
-            "B(Ω) = Ω",
-            image == full,
-            None if image == full else (space.full, _lowest_state(space, full & ~image)),
-        )
-    )
+            diff = op.apply_bits(target) ^ target
+            identities.append(CheckReport(name, not diff, _witness(space, target, diff)))
+    witness = _witness(space, full, full & ~op.apply_bits(full))
+    identities.append(CheckReport("B(Ω) = Ω", witness is None, witness))
     return StrategyCertaintyReport(
         player=player,
         certainty=report,
@@ -458,12 +437,9 @@ def survival_event(gm: GameModel, trace: EliminationTrace) -> Event:
 def correct_belief_in_own_rationality(gm: GameModel, player: str) -> CheckReport:
     """Containment of believed-rational inside actually-rational."""
     rat = rationality_event(gm, player)
-    believed = gm.belief.operator(player).apply(rat)
-    extra = believed.bits & ~rat.bits
+    extra = gm.belief.operator(player).apply(rat).bits & ~rat.bits
     name = f"B_{player}(RAT_{player}) <= RAT_{player}"
-    if extra:
-        return CheckReport(name, False, (rat, _lowest_state(gm.space, extra)))
-    return CheckReport(name, True)
+    return CheckReport(name, not extra, _witness(gm.space, rat.bits, extra))
 
 
 def correct_belief_chain(gm: GameModel, player: str) -> ImplicationReport:
@@ -514,8 +490,7 @@ def self_evident_rationality_chain(gm: GameModel, player: str) -> ImplicationRep
     op = gm.belief.operator(player)
     certainty = certain_of(gm.belief, player, strategy_signal(gm, player))
     rat = rationality_event(gm, player)
-    believed = op.apply(rat)
-    missing = rat.bits & ~believed.bits
+    missing = rat.bits & ~op.apply(rat).bits
     name = f"RAT_{player} <= B_{player}(RAT_{player})"
     return ImplicationReport(
         name="negative-introspection-kripke-implies-self-evident-rationality",
@@ -528,7 +503,7 @@ def self_evident_rationality_chain(gm: GameModel, player: str) -> ImplicationRep
             ("certain of own strategy", certainty.holds),
         ),
         conclusion=(name, missing == 0),
-        witness=None if missing == 0 else (rat, _lowest_state(gm.space, missing)),
+        witness=_witness(gm.space, rat.bits, missing),
     )
 
 

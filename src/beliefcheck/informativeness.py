@@ -19,7 +19,7 @@ from .core import (
     Event,
     ImplicationReport,
 )
-from .core import _lowest_state
+from .core import _first_failure
 from .qualitative import (
     FamilyKind,
     QualitativeTypeMapping,
@@ -84,21 +84,14 @@ def compatible_with_informativeness(op: BeliefOperator) -> AxiomReport:
     the believer's upward set lies in E; the first such pair in event
     order, then state order, is the witness.
     """
-    space = op.space
-    mapping = type_mapping_of(op)
-    upward = _upward_bits(mapping)
-    table = op.table()
-    for e in range(space.size):
-        believers = table[e]
-        bad = 0
-        for i in range(space.n):
-            if believers >> i & 1 and upward[i] & e == 0:
-                bad |= 1 << i
-        if bad:
-            return AxiomReport(
-                COMPATIBILITY, False, (Event(space, e), _lowest_state(space, bad))
-            )
-    return AxiomReport(COMPATIBILITY, True)
+    upward = _upward_bits(type_mapping_of(op))
+    # per event, the believers whose upward set misses it
+    uncorroborated = (
+        sum(1 << i for i, up in enumerate(upward) if believers >> i & 1 and not up & e)
+        for e, believers in enumerate(op.table())
+    )
+    witness = _first_failure(op.space, uncorroborated)
+    return AxiomReport(COMPATIBILITY, witness is None, witness)
 
 
 def check_certainty_compatibility(model: BeliefModel, player: str) -> ImplicationReport:

@@ -23,10 +23,9 @@ from .core import (
     CheckReport,
     Event,
     StateSpace,
-    operator_leq,
     operators_equal,
 )
-from .core import _AXIOM_CHECKS, _lowest_state
+from .core import _AXIOM_CHECKS, _first_failure
 from .signals import CertaintyReport, Signal, certain_of, commonly_certain_of
 
 
@@ -316,9 +315,13 @@ def positive_access(
     """Whatever the subject believes, the observer believes they believe."""
     if name is None:
         name = "B_subject <= B_observer B_subject"
-    return operator_leq(
-        subject_op, compose_operators(observer_op, subject_op), name
+    if observer_op.space != subject_op.space:
+        raise ValueError("operators on different state spaces")
+    obs = observer_op.table()
+    witness = _first_failure(
+        observer_op.space, (img & ~obs[img] for img in subject_op.table())
     )
+    return CheckReport(name, witness is None, witness)
 
 
 def negative_access(
@@ -329,18 +332,13 @@ def negative_access(
     """Whatever the subject fails to believe, the observer believes they fail."""
     if name is None:
         name = "notB_subject <= B_observer notB_subject"
-    # complement images are not monotone, so compare tables directly
-    space = observer_op.space
-    full = space.size - 1
-    obs, sub = observer_op.table(), subject_op.table()
-    for e in range(space.size):
-        outside = full & ~sub[e]
-        bad = outside & ~obs[outside]
-        if bad:
-            return CheckReport(
-                name, False, (Event(space, e), _lowest_state(space, bad))
-            )
-    return CheckReport(name, True)
+    if observer_op.space != subject_op.space:
+        raise ValueError("operators on different state spaces")
+    full = observer_op.space.size - 1
+    obs = observer_op.table()
+    outside = (full & ~img for img in subject_op.table())
+    witness = _first_failure(observer_op.space, (out & ~obs[out] for out in outside))
+    return CheckReport(name, witness is None, witness)
 
 
 def meta_certainty_report(model: BeliefModel) -> MetaCertaintyReport:

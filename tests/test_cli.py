@@ -347,14 +347,40 @@ class TestOutputPlumbing:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "beliefcheck",
-             "--format", "json", "axioms", PD],
-            capture_output=True, text=True, env=env, timeout=60,
+        # the package does not import cli, so runpy has no cause to warn
+        for module in ("beliefcheck", "beliefcheck.cli"):
+            done = subprocess.run(
+                [sys.executable, "-W", "error", "-m", module,
+                 "--format", "json", "axioms", PD],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 0, (module, done.stderr)
+            assert done.stderr == ""
+            assert json.loads(done.stdout)["command"] == "axioms"
+
+    def test_table_commands_reject_models_above_the_table_limit(self, capsys, tmp_path):
+        states = [f"s{k}" for k in range(1, 18)]
+        rows = ",\n".join(f"{s}: {{{s}}}" for s in states)
+        signal = ",\n".join(f"{s} -> a" for s in states)
+        strategy = ",\n".join(f"{s} -> C" for s in states)
+        path = tmp_path / "large.bm"
+        path.write_text(
+            f"states {' '.join(states)};\n"
+            f"player 1 {{ kripke {{\n{rows}\n}} }}\n"
+            f"signal flat : a b {{\n{signal}\n}} family {{ {{a}}, {{b}} }}\n"
+            "game {\n actions 1: C D;\n rank 1: (C) = 1;\n rank 1: (D) = 0;\n"
+            f" strategy 1 {{\n{strategy}\n}}\n}}\n",
+            encoding="utf-8",
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stderr == ""
-        assert json.loads(done.stdout)["command"] == "axioms"
+        for command in ("axioms", "meta", "game"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2, command
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("error: 17 states")
+            assert "at most 16 states" in err
+        # commands that need no event tables still run
+        assert run(capsys, "certainty", str(path), "--signal", "flat")[0] == 0
+        assert run(capsys, "common-belief", str(path), "--event", "{s1, s2}")[0] == 0
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

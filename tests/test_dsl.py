@@ -84,6 +84,13 @@ class TestParseErrors:
             parse_model_spec("# nothing here\n")
         assert err.value.kind == "syntax"
 
+    def test_end_of_input_after_trailing_comment(self):
+        # the column counts the comment's characters, as blanks would be
+        for text in ("states a;\nplayer # c", "states a;\nplayer    "):
+            with pytest.raises(ModelSpecError) as err:
+                parse_model_spec(text)
+            assert (err.value.kind, err.value.line, err.value.col) == ("syntax", 2, 11)
+
     def test_duplicate_state(self):
         with pytest.raises(ModelSpecError) as err:
             parse_model_spec("states a a;")

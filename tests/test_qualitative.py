@@ -24,8 +24,10 @@ from beliefcheck.qualitative import (
     commonly_certain_of_type_mapping,
     compose_operators,
     meta_certainty_report,
+    negative_access,
     observation_family,
     operator_of,
+    positive_access,
     type_mapping_of,
     type_signal,
 )
@@ -451,6 +453,13 @@ class TestMetaCertainty:
         for pair in report.pairs:
             assert pair.positive.holds and pair.negative.holds
         assert report.common_equals_mutual.holds
+
+    def test_access_rejects_operators_on_different_spaces(self, blindspot):
+        two = next(all_kripke_operators(StateSpace(["ω1", "ω2"])))
+        for access in (positive_access, negative_access):
+            for observer, subject in ((two, blindspot), (blindspot, two)):
+                with pytest.raises(ValueError, match="different state spaces"):
+                    access(observer, subject)
 
     def test_unequal_operators_witnessed(self, space3, blindspot, identity3):
         model = BeliefModel(space3, {"1": identity3, "2": blindspot})
