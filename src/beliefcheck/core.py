@@ -488,6 +488,8 @@ class BeliefOperator:
         return self.apply(event)
 
     def believes(self, state: str, event: Event) -> bool:
+        if event.space != self.space:
+            raise ValueError("event from a different state space")
         return self.apply_bits(event.bits) >> self.space.index(state) & 1 == 1
 
     def derive_correspondence(self) -> PossibilityCorrespondence:

@@ -4,16 +4,18 @@ A signal assigns one codomain value to every state and carries an
 observation family: the subsets of the codomain whose preimages a player
 would have to believe. Certainty of a value at a state requires belief
 in the preimage of every family member containing that value; certainty
-of the signal requires that at every state.
+of the signal requires that at every state. Both are decided on the
+preimage masks a signal compiles once: a member fails exactly at the
+states of pre & ~B(pre), where B is the belief (or common belief) map.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable, Sequence
 
-from .core import BeliefModel, Event, StateSpace
+from .core import BeliefModel, Event, StateSpace, common_belief_bits
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,9 @@ class Signal:
     assignment: tuple[Hashable, ...]
     family: tuple[frozenset, ...]
     name: str | None = None
+    _masks: tuple[int, ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if not self.codomain:
@@ -87,6 +92,17 @@ class Signal:
     def observing(self, value: Hashable) -> tuple[frozenset, ...]:
         return tuple(m for m in self.family if value in m)
 
+    def _preimage_masks(self) -> tuple[int, ...]:
+        """Preimage mask of every family member, in family order, cached."""
+        if self._masks is None:
+            at = dict.fromkeys(self.codomain, 0)
+            for i, v in enumerate(self.assignment):
+                at[v] |= 1 << i
+            # value masks are disjoint, so their sum is their union
+            masks = tuple(sum(at[v] for v in member) for member in self.family)
+            object.__setattr__(self, "_masks", masks)
+        return self._masks
+
 
 def singleton_family(codomain: Sequence[Hashable]) -> tuple[frozenset, ...]:
     return tuple(frozenset((v,)) for v in codomain)
@@ -120,46 +136,57 @@ def certain_of_value_at(
     model: BeliefModel, player: str, signal: Signal, state: str
 ) -> bool:
     """Does the player believe every observation consistent with the value here?"""
-    op = model.operator(player)
-    value = signal.value_at(state)
-    return all(
-        op.believes(state, signal.preimage(member))
-        for member in signal.family
-        if value in member
-    )
+    return _certain_at(model, signal, state, model.operator(player).apply_bits)
 
 
 def certain_of(model: BeliefModel, player: str, signal: Signal) -> CertaintyReport:
     """Certainty at every state; equivalently every preimage is self-evident."""
-    op = model.operator(player)
-    return _certainty(signal, lambda e: op.apply(e), player=player)
+    return _certainty(model, signal, model.operator(player).apply_bits, player)
 
 
 def commonly_certain_of_value_at(
     model: BeliefModel, signal: Signal, state: str
 ) -> bool:
-    value = signal.value_at(state)
-    return all(
-        state in model.common_belief(signal.preimage(member))
-        for member in signal.family
-        if value in member
-    )
+    return _certain_at(model, signal, state, _common_belief_map(model))
 
 
 def commonly_certain_of(model: BeliefModel, signal: Signal) -> CertaintyReport:
     """Common certainty at every state; every preimage must be publicly evident."""
-    return _certainty(signal, model.common_belief, player=None)
+    return _certainty(model, signal, _common_belief_map(model), None)
 
 
-def _certainty(signal, believe, player):
-    space = signal.space
-    images = [believe(signal.preimage(member)) for member in signal.family]
+def _common_belief_map(model: BeliefModel) -> Callable[[int], int]:
+    # the loop of BeliefModel.common_belief on masks; above TABLE_LIMIT
+    # the mutual images are computed on demand
+    mutual = model._mutual_images()
+    full = model.space.size - 1
+    return lambda bits: common_belief_bits(mutual, bits, full)
+
+
+def _unbelieved(
+    model: BeliefModel, signal: Signal, believe: Callable[[int], int]
+) -> list[int]:
+    """Per family member, the states of its preimage outside the believed
+    image of that preimage; all zero exactly when the signal is certain."""
+    if signal.space != model.space:
+        raise ValueError("signal on a different state space")
+    return [pre & ~believe(pre) for pre in signal._preimage_masks()]
+
+
+def _certain_at(model, signal, state, believe) -> bool:
+    unbelieved = _unbelieved(model, signal, believe)
+    bit = 1 << model.space.index(state)
+    return not any(bad & bit for bad in unbelieved)
+
+
+def _certainty(model, signal, believe, player) -> CertaintyReport:
+    unbelieved = _unbelieved(model, signal, believe)
     failures = []
-    for state in space.states:
-        value = signal.value_at(state)
-        for member, image in zip(signal.family, images):
-            if value in member and state not in image:
-                failures.append((state, member))
+    if any(unbelieved):
+        for i, state in enumerate(signal.space.states):
+            for member, bad in zip(signal.family, unbelieved):
+                if bad >> i & 1:
+                    failures.append((state, member))
     return CertaintyReport(
         holds=not failures,
         failures=tuple(failures),

@@ -26,6 +26,7 @@ from beliefcheck.core import (
     operator_leq,
     operators_equal,
 )
+from beliefcheck.signals import Signal, certain_of, commonly_certain_of
 from conftest import blindspot_operator, identity_operator
 
 
@@ -335,6 +336,13 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError):
             blindspot.apply(other.full)
 
+    def test_believes_rejects_foreign_events(self, blindspot):
+        # ω1 is also the first state here, so reading the foreign mask
+        # on the operator's own space would answer instead of failing
+        other = StateSpace(["ω1", "ω2"])
+        with pytest.raises(ValueError, match="different state space"):
+            blindspot.believes("ω1", other.event(["ω1"]))
+
 
 class TestMutualAndCommonBelief:
     def test_blindspot_common_belief_equals_single_operator(
@@ -496,6 +504,43 @@ class TestCorrespondenceOnlyModels:
             assert model.common_belief(event) == expected, event
             nonempty += bool(expected)
         assert nonempty >= 4
+
+    def test_certainty_matches_object_level_reference(self, kripke18):
+        model, _ = kripke18
+        space = model.space
+        rng = random.Random(1818)
+        signals = [
+            # constant on each cluster, then seeded values over a codomain
+            # with an unassigned value, observed with empty and repeated members
+            Signal.of(space, [k // 6 for k in range(space.n)]),
+            Signal.of(space, [min(k // 6, 1) for k in range(space.n)]),
+        ]
+        for _ in range(4):
+            values = [rng.choice("abc") for _ in range(space.n)]
+            signals.append(Signal.of(
+                space, values, codomain="abcd",
+                family=[set(), {"a"}, {"b", "c"}, {"a"}, {"d"}, {"a", "b", "c"}],
+            ))
+
+        def reference(sig, believe):
+            images = [believe(sig.preimage(m)) for m in sig.family]
+            return [
+                (state, m)
+                for state in space.states
+                for m, image in zip(sig.family, images)
+                if sig.value_at(state) in m and state not in image
+            ]
+
+        verdicts = set()
+        for sig in signals:
+            common = reference(sig, model.common_belief)
+            assert list(commonly_certain_of(model, sig).failures) == common
+            verdicts.add(not common)
+            for player in model.players:
+                own = reference(sig, model.operator(player).apply)
+                assert list(certain_of(model, player, sig).failures) == own
+                verdicts.add(not own)
+        assert verdicts == {True, False}
 
     def test_iterated_matches_intersected_mutual_iterates(self, kripke18):
         model, _ = kripke18

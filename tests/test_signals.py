@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from beliefcheck.audit import sample_monotone_operators
 from beliefcheck.core import (
     Axiom,
     BeliefModel,
@@ -11,6 +12,8 @@ from beliefcheck.core import (
     PossibilityCorrespondence,
     StateSpace,
 )
+from beliefcheck.dsl import serialize_model
+from beliefcheck.qualitative import FamilyKind, type_mapping_of, type_signal
 from beliefcheck.signals import (
     CertaintyReport,
     Signal,
@@ -80,6 +83,25 @@ def common_certainty_oracle(model, signal):
 
 def one_player(op):
     return BeliefModel(op.space, {"1": op})
+
+
+def assert_agrees_with_oracles(model, sig):
+    """All four certainty functions against the oracles; returns the
+    verdicts, common certainty first, then one per player."""
+    common = common_certainty_oracle(model, sig)
+    assert list(commonly_certain_of(model, sig).failures) == common
+    for state in model.space.states:
+        expect = all(s != state for s, _ in common)
+        assert commonly_certain_of_value_at(model, sig, state) == expect
+    verdicts = [not common]
+    for player in model.players:
+        own = certainty_oracle(model, player, sig)
+        assert list(certain_of(model, player, sig).failures) == own
+        for state in model.space.states:
+            expect = all(s != state for s, _ in own)
+            assert certain_of_value_at(model, player, sig, state) == expect
+        verdicts.append(not own)
+    return verdicts
 
 
 class TestSignalBasics:
@@ -189,17 +211,74 @@ class TestCertainty:
         for first, second in itertools.product(ops, repeat=2):
             model = BeliefModel(space2, {"1": first, "2": second})
             for sig in signals:
-                common = common_certainty_oracle(model, sig)
-                assert list(commonly_certain_of(model, sig).failures) == common
-                for state in space2.states:
-                    expect = all(s != state for s, _ in common)
-                    assert commonly_certain_of_value_at(model, sig, state) == expect
-                for player in model.players:
-                    own = certainty_oracle(model, player, sig)
-                    assert list(certain_of(model, player, sig).failures) == own
-                    for state in space2.states:
-                        expect = all(s != state for s, _ in own)
-                        assert certain_of_value_at(model, player, sig, state) == expect
+                assert_agrees_with_oracles(model, sig)
+
+    def test_oracle_agreement_on_sampled_three_state_pairs(self):
+        ops = list(sample_monotone_operators(3, seed=2021, count=800))
+        space = ops[0].space
+        shapes = [
+            Signal.of(space, ("a", "b", "a")),
+            Signal.of(space, ("a", "a", "a"), codomain=("a", "b")),
+            Signal.of(space, ("a", "b", "c"), family=powerset_family(("a", "b", "c"))),
+            Signal.of(space, ("b", "a", "b"), family=[{"a"}, {"b"}, {"a"}]),
+            Signal.of(
+                space, ("a", "c", "a"), codomain=("a", "b", "c", "d"),
+                family=[set(), {"a", "b"}, {"c", "d"}, {"a", "b"}],
+            ),
+        ]
+        seen = set()
+        for first, second in zip(ops[::2], ops[1::2]):
+            model = BeliefModel(space, {"1": first, "2": second})
+            types = [
+                type_signal(type_mapping_of(op), kind)
+                for op in (first, second)
+                for kind in FamilyKind
+            ]
+            for sig in shapes + types:
+                seen.update(enumerate(assert_agrees_with_oracles(model, sig)))
+        # common, player 1 and player 2 each both hold and fail somewhere
+        assert len(seen) == 6
+
+    def test_signal_on_another_space_is_rejected(self, space2, blindspot_model):
+        # ω1 opens both spaces and the operators believe its masks, so
+        # reading the two-state masks on the three-state model would
+        # answer instead of failing; an empty family reads no mask at all
+        for family in (None, ()):
+            sig = Signal.of(space2, ("a", "b"), family=family)
+            with pytest.raises(ValueError, match="different state space"):
+                certain_of(blindspot_model, "1", sig)
+            with pytest.raises(ValueError, match="different state space"):
+                commonly_certain_of(blindspot_model, sig)
+            with pytest.raises(ValueError, match="different state space"):
+                certain_of_value_at(blindspot_model, "1", sig, "ω1")
+            with pytest.raises(ValueError, match="different state space"):
+                commonly_certain_of_value_at(blindspot_model, sig, "ω1")
+
+    def test_compiled_masks_are_invisible(self, blindspot_model):
+        space = blindspot_model.space
+        signals = [
+            Signal.of(space, ("a", "b", "a"), name="x"),
+            Signal.of(
+                space, ("a", "c", "a"), codomain=("a", "b", "c", "d"),
+                family=[set(), {"a", "b"}, {"c", "d"}, {"a", "b"}], name="y",
+            ),
+        ]
+
+        def looks(sig):
+            text = serialize_model(blindspot_model, signals=(sig,))
+            return hash(sig), repr(sig), text
+
+        for sig in signals:
+            fresh = Signal(sig.space, sig.codomain, sig.assignment, sig.family, sig.name)
+            before = looks(sig)
+            certain_of(blindspot_model, "1", sig)
+            commonly_certain_of(blindspot_model, sig)
+            certain_of_value_at(blindspot_model, "2", sig, "ω3")
+            commonly_certain_of_value_at(blindspot_model, sig, "ω3")
+            assert looks(sig) == before == looks(fresh)
+            assert sig == fresh and fresh == sig
+            masks = [sig.preimage(m).bits for m in sig.family]
+            assert list(sig._preimage_masks()) == masks
 
     def test_certainty_of_constants_is_necessitation(self, space2):
         # sweeps operators where B(Ω) actually varies
