@@ -18,6 +18,16 @@ TABLE_LIMIT = 16
 SPACE_LIMIT = 24
 
 
+def _coerce(cls: type[Enum], value: object, what: str):
+    """The member of `cls` that is `value`, or has it as value or name."""
+    if isinstance(value, cls):
+        return value
+    for member in cls:
+        if value == member.value or value == member.name:
+            return member
+    raise ValueError(f"unknown {what}: {value!r}")
+
+
 class Axiom(str, Enum):
     """The nine checkable belief axioms, in report order."""
 
@@ -33,12 +43,7 @@ class Axiom(str, Enum):
 
     @classmethod
     def coerce(cls, value: "Axiom | str") -> "Axiom":
-        if isinstance(value, cls):
-            return value
-        for member in cls:
-            if value == member.value or value == member.name:
-                return member
-        raise ValueError(f"unknown axiom: {value!r}")
+        return _coerce(cls, value, "axiom")
 
 
 class FrameProperty(str, Enum):
@@ -49,12 +54,7 @@ class FrameProperty(str, Enum):
 
     @classmethod
     def coerce(cls, value: "FrameProperty | str") -> "FrameProperty":
-        if isinstance(value, cls):
-            return value
-        for member in cls:
-            if value == member.value or value == member.name:
-                return member
-        raise ValueError(f"unknown frame property: {value!r}")
+        return _coerce(cls, value, "frame property")
 
 
 class ImplicationStatus(str, Enum):
@@ -742,14 +742,17 @@ class BeliefModel:
 
     def mutual_operator(self) -> BeliefOperator:
         """Mutual belief packaged as an operator."""
-        return BeliefOperator.from_table(self.space, list(self.mutual_table()))
+        # an intersection of monotone tables is monotone: no re-validation
+        return BeliefOperator(self.space, _table=self.mutual_table())
 
     def common_operator(self) -> BeliefOperator:
         """Common belief packaged as an operator (monotone, so admissible)."""
         mutual = self.mutual_table()
         full = self.space.size - 1
-        table = [common_belief_bits(mutual, e, full) for e in range(self.space.size)]
-        return BeliefOperator.from_table(self.space, table)
+        table = tuple(
+            common_belief_bits(mutual, e, full) for e in range(self.space.size)
+        )
+        return BeliefOperator(self.space, _table=table)
 
     def common_belief(self, event: Event) -> Event:
         """Union of the publicly evident events inside mutual belief of event."""

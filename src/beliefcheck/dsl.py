@@ -9,8 +9,8 @@ parsed document is idempotent after one round trip.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from .core import BeliefModel, BeliefOperator, Event, StateSpace
 from .core import PossibilityCorrespondence
@@ -239,15 +239,31 @@ class _Parser:
             self.error(f"expected {expected}, found {shown!r}")
         return self.next()
 
-    def at_keyword(self, name: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "WORD" and tok.value == name
-
     def opt_comma(self) -> None:
         if self.peek().kind == "COMMA":
             self.next()
 
-    def set_literal(self, what: str) -> tuple[list[str], Token]:
+    def word_list(self, what: str, duplicate: str, empty: str) -> list[str]:
+        """One or more distinct names, up to the first token that is not one."""
+        words: list[str] = []
+        while self.peek().kind == "WORD":
+            tok = self.word(what)
+            if tok.value in words:
+                self.error(f"{duplicate}: {tok.value}", tok, kind="semantic")
+            words.append(tok.value)
+        if not words:
+            self.error(empty)
+        return words
+
+    def set_literal(
+        self,
+        universe: Sequence[str],
+        what: str = "state",
+        unknown: str = "unknown state",
+        duplicate: str = "duplicate state in set",
+    ) -> tuple[tuple[str, ...], Token]:
+        """A braced, comma-separated set of distinct names from `universe`,
+        in universe order, and the token of its opening brace."""
         open_tok = self.expect("LBRACE", f"'{{' opening a {what} set")
         items = []
         while self.peek().kind != "RBRACE":
@@ -257,14 +273,53 @@ class _Parser:
             elif self.peek().kind != "RBRACE":
                 self.error(f"expected ',' or '}}' in {what} set")
         self.next()
-        return items, open_tok
+        for item in items:
+            if item not in universe:
+                self.error(f"{unknown}: {item}", open_tok, kind="semantic")
+        if len(set(items)) != len(items):
+            self.error(duplicate, open_tok, kind="semantic")
+        return tuple(sorted(items, key=universe.index)), open_tok
+
+    def state_block(
+        self,
+        states: list[str],
+        separator: tuple[str, str],
+        value: Callable[[], object],
+        duplicate: str,
+        missing: str,
+        missing_tok: Token | None = None,
+    ) -> tuple:
+        """Entries `state <separator> value`, optionally comma separated,
+        through the closing brace: one per state, values in state order.
+        A missing state is reported at `missing_tok`, else at the brace."""
+        entries: dict[str, object] = {}
+        while self.peek().kind != "RBRACE":
+            tok = self.word("state name")
+            if tok.value not in states:
+                self.error(f"unknown state: {tok.value}", tok, kind="semantic")
+            if tok.value in entries:
+                self.error(f"{duplicate} {tok.value}", tok, kind="semantic")
+            self.expect(*separator)
+            entries[tok.value] = value()
+            self.opt_comma()
+        close_tok = self.next()
+        for state in states:
+            if state not in entries:
+                self.error(
+                    f"{missing} {state}", missing_tok or close_tok, kind="semantic"
+                )
+        return tuple(entries[s] for s in states)
 
     # document level
 
     def parse(self) -> ModelSpecDocument:
         if self.peek().kind == "EOF":
             self.error("empty input: expected a 'states' declaration")
-        states = self.parse_states()
+        self.keyword("states")
+        states = self.word_list(
+            "state name", "duplicate state", "expected at least one state name"
+        )
+        self.expect("SEMI", "';' after the state list")
         players: list[PlayerSpec] = []
         signals: list[SignalSpec] = []
         game: GameSpec | None = None
@@ -291,19 +346,6 @@ class _Parser:
             game=game,
         )
 
-    def parse_states(self) -> list[str]:
-        self.keyword("states")
-        states = []
-        while self.peek().kind == "WORD":
-            tok = self.word("state name")
-            if tok.value in states:
-                self.error(f"duplicate state: {tok.value}", tok, kind="semantic")
-            states.append(tok.value)
-        if not states:
-            self.error("expected at least one state name")
-        self.expect("SEMI", "';' after the state list")
-        return states
-
     def parse_player(
         self, states: list[str], seen: list[PlayerSpec]
     ) -> PlayerSpec:
@@ -316,55 +358,33 @@ class _Parser:
         kind_tok = self.keyword("kripke", "table", "core")
         self.expect("LBRACE", f"'{{' opening the {kind_tok.value} block")
         if kind_tok.value == "kripke":
-            spec = self.parse_kripke_entries(name_tok.value, states, kind_tok)
+            possible = self.state_block(
+                states,
+                ("COLON", "':' after the state name"),
+                lambda: self.set_literal(states)[0],
+                "duplicate entry for state",
+                "kripke block is missing state",
+                kind_tok,
+            )
+            spec = PlayerSpec(
+                name=name_tok.value, kind="kripke", kripke=tuple(zip(states, possible))
+            )
         else:
             spec = self.parse_table_entries(name_tok.value, kind_tok.value, states)
         self.expect("RBRACE", "'}' closing the player block")
         return spec
 
-    def parse_kripke_entries(
-        self, player: str, states: list[str], block_tok: Token
-    ) -> PlayerSpec:
-        entries: dict[str, tuple[str, ...]] = {}
-        while self.peek().kind != "RBRACE":
-            state_tok = self.word("state name")
-            state = state_tok.value
-            if state not in states:
-                self.error(f"unknown state: {state}", state_tok, kind="semantic")
-            if state in entries:
-                self.error(
-                    f"duplicate entry for state {state}", state_tok, kind="semantic"
-                )
-            self.expect("COLON", "':' after the state name")
-            items, set_tok = self.set_literal("state")
-            entries[state] = self._state_set(items, states, set_tok)
-            self.opt_comma()
-        self.next()
-        for state in states:
-            if state not in entries:
-                self.error(
-                    f"kripke block is missing state {state}",
-                    block_tok,
-                    kind="semantic",
-                )
-        ordered = tuple((s, entries[s]) for s in states)
-        return PlayerSpec(name=player, kind="kripke", kripke=ordered)
-
     def parse_table_entries(
         self, player: str, kind: str, states: list[str]
     ) -> PlayerSpec:
         entries: dict[tuple[str, ...], tuple[str, ...]] = {}
-        order: dict[tuple[str, ...], int] = {}
         while self.peek().kind != "RBRACE":
-            key_items, key_tok = self.set_literal("state")
-            key = self._state_set(key_items, states, key_tok)
+            key, key_tok = self.set_literal(states)
             if key in entries:
                 shown = "{" + ", ".join(key) + "}"
                 self.error(f"duplicate entry for {shown}", key_tok, kind="semantic")
             self.expect("COLON", "':' after the event")
-            value_items, value_tok = self.set_literal("state")
-            entries[key] = self._state_set(value_items, states, value_tok)
-            order[key] = self._event_mask(key, states)
+            entries[key] = self.set_literal(states)[0]
             self.opt_comma()
         close_tok = self.next()
         # a table block promises an image for every event; core blocks may be partial
@@ -374,27 +394,11 @@ class _Parser:
                 close_tok,
                 kind="semantic",
             )
-        ordered = tuple(
-            (key, entries[key]) for key in sorted(entries, key=order.__getitem__)
-        )
+        # canonical order: by the event's bitmask over the state index
+        bit = {s: 1 << i for i, s in enumerate(states)}
+        order = sorted(entries, key=lambda k: sum(map(bit.__getitem__, k)))
+        ordered = tuple((key, entries[key]) for key in order)
         return PlayerSpec(name=player, kind=kind, entries=ordered)
-
-    def _state_set(
-        self, items: list[str], states: list[str], tok: Token
-    ) -> tuple[str, ...]:
-        for item in items:
-            if item not in states:
-                self.error(f"unknown state: {item}", tok, kind="semantic")
-        if len(set(items)) != len(items):
-            self.error("duplicate state in set", tok, kind="semantic")
-        return tuple(sorted(items, key=states.index))
-
-    @staticmethod
-    def _event_mask(key: tuple[str, ...], states: list[str]) -> int:
-        mask = 0
-        for item in key:
-            mask |= 1 << states.index(item)
-        return mask
 
     def parse_signal(
         self, states: list[str], seen: list[SignalSpec]
@@ -405,69 +409,46 @@ class _Parser:
                 f"duplicate signal: {name_tok.value}", name_tok, kind="semantic"
             )
         self.expect("COLON", "':' before the codomain")
-        codomain = []
-        while self.peek().kind == "WORD":
-            tok = self.word("codomain value")
-            if tok.value in codomain:
-                self.error(
-                    f"duplicate codomain value: {tok.value}", tok, kind="semantic"
-                )
-            codomain.append(tok.value)
-        if not codomain:
-            self.error("expected at least one codomain value")
+        codomain = self.word_list(
+            "codomain value",
+            "duplicate codomain value",
+            "expected at least one codomain value",
+        )
         self.expect("LBRACE", "'{' opening the assignment block")
-        assignment: dict[str, str] = {}
-        while self.peek().kind != "RBRACE":
-            state_tok = self.word("state name")
-            if state_tok.value not in states:
+
+        def value() -> str:
+            tok = self.word("codomain value")
+            if tok.value not in codomain:
                 self.error(
-                    f"unknown state: {state_tok.value}", state_tok, kind="semantic"
+                    f"value outside the codomain: {tok.value}", tok, kind="semantic"
                 )
-            if state_tok.value in assignment:
-                self.error(
-                    f"duplicate assignment for {state_tok.value}",
-                    state_tok,
-                    kind="semantic",
-                )
-            self.expect("ARROW", "'->' in the assignment")
-            value_tok = self.word("codomain value")
-            if value_tok.value not in codomain:
-                self.error(
-                    f"value outside the codomain: {value_tok.value}",
-                    value_tok,
-                    kind="semantic",
-                )
-            assignment[state_tok.value] = value_tok.value
-            self.opt_comma()
-        close_tok = self.next()
-        for state in states:
-            if state not in assignment:
-                self.error(
-                    f"assignment is missing state {state}", close_tok, kind="semantic"
-                )
+            return tok.value
+
+        assignment = self.state_block(
+            states,
+            ("ARROW", "'->' in the assignment"),
+            value,
+            "duplicate assignment for",
+            "assignment is missing state",
+        )
         self.keyword("family")
         self.expect("LBRACE", "'{' opening the family block")
-        members: list[tuple[str, ...]] = []
+        members = []
         while self.peek().kind != "RBRACE":
-            items, set_tok = self.set_literal("codomain value")
-            for item in items:
-                if item not in codomain:
-                    self.error(
-                        f"value outside the codomain: {item}", set_tok, kind="semantic"
-                    )
-            if len(set(items)) != len(items):
-                self.error("duplicate value in family member", set_tok, kind="semantic")
-            member = tuple(sorted(items, key=codomain.index))
-            if member not in members:
-                members.append(member)
+            member, _ = self.set_literal(
+                codomain,
+                "codomain value",
+                "value outside the codomain",
+                "duplicate value in family member",
+            )
+            members.append(member)
             self.opt_comma()
         self.next()
-        members.sort(key=lambda m: tuple(codomain.index(v) for v in m))
         return SignalSpec(
             name=name_tok.value,
             codomain=tuple(codomain),
-            assignment=tuple((s, assignment[s]) for s in states),
-            family=tuple(members),
+            assignment=tuple(zip(states, assignment)),
+            family=_family_order(members, codomain),
         )
 
     def parse_game(self, states: list[str]) -> GameSpec:
@@ -486,20 +467,11 @@ class _Parser:
                         kind="semantic",
                     )
                 self.expect("COLON", "':' after the player name")
-                acts = []
-                while self.peek().kind == "WORD":
-                    act_tok = self.word("action name")
-                    if act_tok.value in acts:
-                        self.error(
-                            f"duplicate action: {act_tok.value}",
-                            act_tok,
-                            kind="semantic",
-                        )
-                    acts.append(act_tok.value)
-                if not acts:
-                    self.error("expected at least one action")
-                self.expect("SEMI", "';' after the action list")
+                acts = self.word_list(
+                    "action name", "duplicate action", "expected at least one action"
+                )
                 actions[player_tok.value] = tuple(acts)
+                self.expect("SEMI", "';' after the action list")
             elif tok.value == "rank":
                 player_tok = self.word("player name")
                 self.expect("COLON", "':' after the player name")
@@ -529,33 +501,13 @@ class _Parser:
                         kind="semantic",
                     )
                 self.expect("LBRACE", "'{' opening the strategy block")
-                row: dict[str, str] = {}
-                while self.peek().kind != "RBRACE":
-                    state_tok = self.word("state name")
-                    if state_tok.value not in states:
-                        self.error(
-                            f"unknown state: {state_tok.value}",
-                            state_tok,
-                            kind="semantic",
-                        )
-                    if state_tok.value in row:
-                        self.error(
-                            f"duplicate assignment for {state_tok.value}",
-                            state_tok,
-                            kind="semantic",
-                        )
-                    self.expect("ARROW", "'->' in the strategy")
-                    row[state_tok.value] = self.word("action name").value
-                    self.opt_comma()
-                close_tok = self.next()
-                for state in states:
-                    if state not in row:
-                        self.error(
-                            f"strategy is missing state {state}",
-                            close_tok,
-                            kind="semantic",
-                        )
-                strategies[player_tok.value] = tuple(row[s] for s in states)
+                strategies[player_tok.value] = self.state_block(
+                    states,
+                    ("ARROW", "'->' in the strategy"),
+                    lambda: self.word("action name").value,
+                    "duplicate assignment for",
+                    "strategy is missing state",
+                )
         self.next()
         return self._assemble_game(actions, ranks, strategies, states, open_tok)
 
@@ -642,30 +594,12 @@ def parse_model_spec(text: str) -> ModelSpecDocument:
 
 
 def parse_event_literal(space: StateSpace, text: str) -> Event:
-    """Brace-comma event syntax for command-line flags, e.g. '{ω1, ω2}'."""
-    tokens = _lex(text)
-    if tokens[0].kind != "LBRACE":
-        raise ModelSpecError("syntax", "expected '{'", tokens[0].line, tokens[0].col)
-    items = []
-    pos = 1
-    while tokens[pos].kind != "RBRACE":
-        tok = tokens[pos]
-        if tok.kind != "WORD":
-            raise ModelSpecError("syntax", "expected a state name", tok.line, tok.col)
-        if tok.value not in space.states:
-            raise ModelSpecError(
-                "semantic", f"unknown state: {tok.value}", tok.line, tok.col
-            )
-        items.append(tok.value)
-        pos += 1
-        if tokens[pos].kind == "COMMA":
-            pos += 1
-    pos += 1
-    if tokens[pos].kind != "EOF":
-        tok = tokens[pos]
-        raise ModelSpecError(
-            "syntax", "unexpected input after the closing '}'", tok.line, tok.col
-        )
+    """An event in the model-file set syntax, for command-line flags,
+    e.g. '{ω1, ω2}'."""
+    parser = _Parser(text)
+    items, _ = parser.set_literal(space.states)
+    if parser.peek().kind != "EOF":
+        parser.error("unexpected input after the closing '}'")
     return space.event(items)
 
 
@@ -713,14 +647,7 @@ def document_of(
             raise ValueError("signal on a different state space")
         codomain = tuple(str(v) for v in sig.codomain)
         by_value = {v: str(v) for v in sig.codomain}
-        members = []
-        for member in sig.family:
-            as_tuple = tuple(
-                sorted((by_value[v] for v in member), key=codomain.index)
-            )
-            if as_tuple not in members:
-                members.append(as_tuple)
-        members.sort(key=lambda m: tuple(codomain.index(v) for v in m))
+        members = ([by_value[v] for v in member] for member in sig.family)
         signal_specs.append(
             SignalSpec(
                 name=sig.name or "x",
@@ -728,7 +655,7 @@ def document_of(
                 assignment=tuple(
                     (s, by_value[sig.value_at(s)]) for s in states
                 ),
-                family=tuple(members),
+                family=_family_order(members, codomain),
             )
         )
     game_spec = None
@@ -750,6 +677,15 @@ def document_of(
         signals=tuple(signal_specs),
         game=game_spec,
     )
+
+
+def _family_order(
+    members: Iterable[Iterable[str]], codomain: Sequence[str]
+) -> tuple[tuple[str, ...], ...]:
+    """Canonical family: each member in codomain order, duplicates
+    dropped, members sorted by their codomain positions."""
+    positions = {tuple(sorted(codomain.index(v) for v in m)) for m in members}
+    return tuple(tuple(codomain[k] for k in p) for p in sorted(positions))
 
 
 def _set_text(items: Sequence[str]) -> str:

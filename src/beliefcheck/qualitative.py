@@ -25,7 +25,7 @@ from .core import (
     StateSpace,
     operators_equal,
 )
-from .core import _AXIOM_CHECKS, _first_failure
+from .core import _AXIOM_CHECKS, _coerce, _first_failure
 from .signals import CertaintyReport, Signal, certain_of, commonly_certain_of
 
 
@@ -175,16 +175,7 @@ class FamilyKind(str, Enum):
 
     @classmethod
     def coerce(cls, value: "FamilyKind | str") -> "FamilyKind":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            pass
-        try:
-            return cls[value]
-        except KeyError:
-            raise ValueError(f"unknown family kind: {value!r}") from None
+        return _coerce(cls, value, "family kind")
 
 
 @dataclass(frozen=True)
@@ -273,9 +264,8 @@ def compose_operators(outer: BeliefOperator, inner: BeliefOperator) -> BeliefOpe
     if outer.space != inner.space:
         raise ValueError("operators on different state spaces")
     outer_table, inner_table = outer.table(), inner.table()
-    return BeliefOperator.from_table(
-        outer.space, [outer_table[img] for img in inner_table]
-    )
+    table = tuple(outer_table[img] for img in inner_table)
+    return BeliefOperator(outer.space, _table=table)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,14 @@ class TestCommonBelief:
         code, _, err = run(capsys, "common-belief", PD, "--event", "{ω9}")
         assert code == 2
 
+    def test_event_uses_the_model_file_set_grammar(self, capsys):
+        for event in ("{ω1 ω2}", "{ω1, ω1}"):
+            code, out, err = run(capsys, "common-belief", PD, "--event", event)
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: --event: ")
+
 
 class TestCertainty:
     def test_uniform_signal_certain(self, capsys):

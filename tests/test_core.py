@@ -26,6 +26,7 @@ from beliefcheck.core import (
     operator_leq,
     operators_equal,
 )
+from beliefcheck.qualitative import FamilyKind, compose_operators
 from beliefcheck.signals import Signal, certain_of, commonly_certain_of
 from conftest import blindspot_operator, identity_operator
 
@@ -292,6 +293,21 @@ class TestAxiomChecks:
             Axiom.coerce("Belief")
 
 
+@pytest.mark.parametrize(
+    "enum, what",
+    [(Axiom, "axiom"), (FrameProperty, "frame property"), (FamilyKind, "family kind")],
+)
+def test_coerce_string_enums(enum, what):
+    member = list(enum)[-1]
+    assert enum.coerce(member) is member
+    assert enum.coerce(member.value) is member
+    assert enum.coerce(member.name) is member
+    with pytest.raises(ValueError, match=f"^unknown {what}: 'nope'$"):
+        enum.coerce("nope")
+    with pytest.raises(ValueError, match=rf"^unknown {what}: \[\]$"):
+        enum.coerce([])
+
+
 class TestFrameProperties:
     def test_blindspot_frame(self, blindspot):
         possible = blindspot.derive_correspondence()
@@ -353,6 +369,29 @@ class TestMutualAndCommonBelief:
         # already publicly evident
         for event in blindspot_model.space.events():
             assert blindspot_model.common_belief(event) == blindspot.apply(event)
+
+    def test_derived_operators_pass_table_validation(self, space2):
+        # mutual, common and composed operators are built without
+        # from_table's checks, so over every pair of monotone two-state
+        # operators they must pass those checks unchanged
+        monotone = []
+        for table in itertools.product(range(space2.size), repeat=space2.size):
+            try:
+                monotone.append(BeliefOperator.from_table(space2, table))
+            except ValueError:
+                continue
+        assert len(monotone) ** 2 == 1296
+        for op1, op2 in itertools.product(monotone, repeat=2):
+            model = BeliefModel(space2, {"1": op1, "2": op2})
+            for derived in (
+                model.mutual_operator(),
+                model.common_operator(),
+                compose_operators(op1, op2),
+            ):
+                assert derived.check_axiom(Axiom.MONOTONICITY).holds
+                rebuilt = BeliefOperator.from_table(space2, derived.table())
+                assert derived == rebuilt
+                assert hash(derived) == hash(rebuilt)
 
     def test_mutual_belief_intersects_players(self, space3):
         op1 = identity_operator(space3, "1")

@@ -1,5 +1,7 @@
 """Text format: lexing, parsing, validation, canonical serialization."""
 
+import hashlib
+import json
 import random
 import re
 from pathlib import Path
@@ -73,7 +75,108 @@ class TestLexing:
             parse_model_spec("states a;\nplayer ;")
 
 
+# one case per reader and fault: (id, text, (kind, line, col, message))
+READER_CASES = [
+    # distinct word lists: states, codomain values, actions
+    ("states duplicate", "states a b a;",
+     ("semantic", 1, 12, "duplicate state: a")),
+    ("states empty", "states ;",
+     ("syntax", 1, 8, "expected at least one state name")),
+    ("states keyword", "states a game;",
+     ("syntax", 1, 10, "keyword 'game' cannot be used as state name")),
+    ("states missing separator", "states a b\nplayer p { kripke { a: {a}, b: {b} } }",
+     ("syntax", 2, 1, "keyword 'player' cannot be used as state name")),
+    ("codomain duplicate", "states a;\nsignal x : u u { a -> u } family { {u} }",
+     ("semantic", 2, 14, "duplicate codomain value: u")),
+    ("codomain empty", "states a;\nsignal x : { a -> u } family { {u} }",
+     ("syntax", 2, 12, "expected at least one codomain value")),
+    ("codomain keyword", "states a;\nsignal x : u family { a -> u } family { {u} }",
+     ("syntax", 2, 14, "keyword 'family' cannot be used as codomain value")),
+    ("actions duplicate", "states a;\ngame { actions p: C C; }",
+     ("semantic", 2, 21, "duplicate action: C")),
+    ("actions empty", "states a;\ngame { actions p: ; }",
+     ("syntax", 2, 19, "expected at least one action")),
+    ("actions keyword", "states a;\ngame { actions p: C rank; }",
+     ("syntax", 2, 21, "keyword 'rank' cannot be used as action name")),
+    ("actions missing separator", "states a;\ngame { actions p: C D rank p: (C) = 1; }",
+     ("syntax", 2, 23, "keyword 'rank' cannot be used as action name")),
+    # state-keyed blocks: kripke entries, signal assignments, strategies
+    ("kripke unknown", "states a b;\nplayer p {\n  kripke { a: {a}, c: {b} }\n}",
+     ("semantic", 3, 20, "unknown state: c")),
+    ("kripke duplicate", "states a b;\nplayer p {\n  kripke { a: {a}, a: {b} }\n}",
+     ("semantic", 3, 20, "duplicate entry for state a")),
+    ("kripke missing separator", "states a b;\nplayer p {\n  kripke { a {a}, b: {b} }\n}",
+     ("syntax", 3, 14, "expected ':' after the state name, found '{'")),
+    ("kripke missing state", "states a b;\nplayer p {\n  kripke { a: {a} }\n}",
+     ("semantic", 3, 3, "kripke block is missing state b")),
+    ("kripke keyword", "states a b;\nplayer p {\n  kripke { table: {a} }\n}",
+     ("syntax", 3, 12, "keyword 'table' cannot be used as state name")),
+    ("kripke empty", "states a b;\nplayer p {\n  kripke { }\n}",
+     ("semantic", 3, 3, "kripke block is missing state a")),
+    ("assignment unknown", "states a b;\nsignal x : u v {\n  a -> u, c -> v\n} family { {u} }",
+     ("semantic", 3, 11, "unknown state: c")),
+    ("assignment duplicate", "states a b;\nsignal x : u v {\n  a -> u, a -> v\n} family { {u} }",
+     ("semantic", 3, 11, "duplicate assignment for a")),
+    ("assignment missing separator", "states a b;\nsignal x : u v {\n  a u, b -> v\n} family { {u} }",
+     ("syntax", 3, 5, "expected '->' in the assignment, found 'u'")),
+    ("assignment missing state", "states a b;\nsignal x : u v {\n  a -> u\n} family { {u} }",
+     ("semantic", 4, 1, "assignment is missing state b")),
+    ("assignment keyword", "states a b;\nsignal x : u v {\n  a -> u, b -> rank\n} family { {u} }",
+     ("syntax", 3, 16, "keyword 'rank' cannot be used as codomain value")),
+    ("assignment outside codomain", "states a b;\nsignal x : u v {\n  a -> u, b -> w\n} family { {u} }",
+     ("semantic", 3, 16, "value outside the codomain: w")),
+    ("strategy unknown", "states a b;\ngame {\n  actions p: C D;\n  strategy p { a -> C, c -> D }\n}",
+     ("semantic", 4, 24, "unknown state: c")),
+    ("strategy duplicate", "states a b;\ngame {\n  actions p: C D;\n  strategy p { a -> C, a -> D }\n}",
+     ("semantic", 4, 24, "duplicate assignment for a")),
+    ("strategy missing separator", "states a b;\ngame {\n  actions p: C D;\n  strategy p { a C, b -> D }\n}",
+     ("syntax", 4, 18, "expected '->' in the strategy, found 'C'")),
+    ("strategy missing state", "states a b;\ngame {\n  actions p: C D;\n  strategy p { a -> C }\n}",
+     ("semantic", 4, 23, "strategy is missing state b")),
+    ("strategy keyword", "states a b;\ngame {\n  actions p: C D;\n  strategy p { a -> actions }\n}",
+     ("syntax", 4, 21, "keyword 'actions' cannot be used as action name")),
+    ("strategy duplicate player", "states a b;\ngame {\n  actions p: C D;\n  strategy p { a -> C, b -> C }\n  strategy p { a -> C, b -> C }\n}",
+     ("semantic", 5, 12, "duplicate strategy for player p")),
+    # checked set literals: state sets, family members
+    ("set unknown", "states a b;\nplayer p {\n  kripke { a: {a, c}, b: {b} }\n}",
+     ("semantic", 3, 15, "unknown state: c")),
+    ("set duplicate", "states a b;\nplayer p {\n  kripke { a: {a, a}, b: {b} }\n}",
+     ("semantic", 3, 15, "duplicate state in set")),
+    ("set missing separator", "states a b;\nplayer p {\n  kripke { a: {a b}, b: {b} }\n}",
+     ("syntax", 3, 18, "expected ',' or '}' in state set")),
+    ("set keyword", "states a b;\nplayer p {\n  kripke { a: {core}, b: {b} }\n}",
+     ("syntax", 3, 16, "keyword 'core' cannot be used as state name")),
+    ("set unclosed", "states a b;\nplayer p {\n  kripke { a: {a",
+     ("syntax", 3, 17, "expected ',' or '}' in state set")),
+    ("table key unknown", "states a;\nplayer p {\n  table { {}: {}, {z}: {a} }\n}",
+     ("semantic", 3, 19, "unknown state: z")),
+    ("table duplicate key", "states a;\nplayer p {\n  table { {}: {}, {a}: {a}, {a}: {} }\n}",
+     ("semantic", 3, 29, "duplicate entry for {a}")),
+    ("table incomplete", "states a;\nplayer p {\n  table { {a}: {a} }\n}",
+     ("semantic", 3, 20, "table has 1 of 2 events")),
+    ("family unknown", "states a;\nsignal x : u v {\n  a -> u\n} family {\n  {u, w}\n}",
+     ("semantic", 5, 3, "value outside the codomain: w")),
+    ("family duplicate", "states a;\nsignal x : u v {\n  a -> u\n} family {\n  {u, u}\n}",
+     ("semantic", 5, 3, "duplicate value in family member")),
+    ("family missing separator", "states a;\nsignal x : u v {\n  a -> u\n} family {\n  {u v}\n}",
+     ("syntax", 5, 6, "expected ',' or '}' in codomain value set")),
+    ("family keyword", "states a;\nsignal x : u v {\n  a -> u\n} family {\n  {strategy}\n}",
+     ("syntax", 5, 4, "keyword 'strategy' cannot be used as codomain value name")),
+    ("family missing open", "states a;\nsignal x : u v {\n  a -> u\n} family u",
+     ("syntax", 4, 10, "expected '{' opening the family block, found 'u'")),
+]
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize(
+        "text, expected", [case[1:] for case in READER_CASES],
+        ids=[case[0] for case in READER_CASES],
+    )
+    def test_reader_diagnostics(self, text, expected):
+        with pytest.raises(ModelSpecError) as err:
+            parse_model_spec(text)
+        assert (err.value.kind, err.value.line, err.value.col, err.value.message) == expected
+
     def test_empty_input(self):
         with pytest.raises(ModelSpecError) as err:
             parse_model_spec("")
@@ -289,6 +392,23 @@ class TestRoundTrip:
         assert serialize_model_spec(doc) == text
 
 
+class TestFamilyOrder:
+    TEXT = (
+        "states a;\n"
+        "player i { kripke { a: {a} } }\n"
+        "signal x : u v w { a -> u } family { {w}, {v, u}, {u}, {u, v}, {w} }"
+    )
+
+    def test_parser_deduplicates_and_sorts_by_codomain_position(self):
+        doc = parse_model_spec(self.TEXT)
+        assert doc.signals[0].family == (("u",), ("u", "v"), ("w",))
+
+    def test_document_of_agrees_with_the_parser(self):
+        doc = parse_model_spec(self.TEXT)
+        rebuilt = document_of(doc.belief_model(), [doc.signal("x")])
+        assert rebuilt.signals == doc.signals
+
+
 class TestEventLiteral:
     def test_parses_sets(self, space3):
         assert parse_event_literal(space3, "{ω1, ω3}") == space3.event(["ω1", "ω3"])
@@ -301,6 +421,19 @@ class TestEventLiteral:
     def test_trailing_junk(self, space3):
         with pytest.raises(ModelSpecError, match="after the closing"):
             parse_event_literal(space3, "{ω1} extra")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("{ω1 ω2}", ("syntax", 1, 5, "expected ',' or '}' in state set")),
+            ("{ω1, ω1}", ("semantic", 1, 1, "duplicate state in set")),
+            ("ω1", ("syntax", 1, 1, "expected '{' opening a state set, found 'ω1'")),
+        ],
+    )
+    def test_model_file_set_grammar(self, space3, text, expected):
+        with pytest.raises(ModelSpecError) as err:
+            parse_event_literal(space3, text)
+        assert (err.value.kind, err.value.line, err.value.col, err.value.message) == expected
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -334,17 +467,28 @@ def _mutate(rng: random.Random, text: str, pool: list[str]) -> str:
     return "".join(tokens)
 
 
+def _mutations():
+    """The 2,000 seeded one-to-three-edit mutations of the golden files."""
+    texts = [path.read_text() for path in sorted(GOLDEN.glob("*.bm"))]
+    assert texts
+    pool = sorted({t for text in texts for t in TOKEN.findall(text)})
+    rng = random.Random(5)
+    for _ in range(2000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(rng, text, pool)
+        yield text
+
+
+# SHA-256 of the JSON list of outcomes of _mutations(): the canonical text
+# of each file that parses, `kind line col message` of each that does not
+DIAGNOSTICS_DIGEST = "3dd973358d1ff5cb3c60d2a9d171d9f4399c17b756625b4c368fd63650221839"
+
+
 class TestMutationFuzz:
     def test_mutated_golden_files_fail_cleanly_or_round_trip(self):
-        texts = [path.read_text() for path in sorted(GOLDEN.glob("*.bm"))]
-        assert texts
-        pool = sorted({t for text in texts for t in TOKEN.findall(text)})
-        rng = random.Random(5)
         parsed = 0
-        for _ in range(2000):
-            text = rng.choice(texts)
-            for _ in range(rng.randint(1, 3)):
-                text = _mutate(rng, text, pool)
+        for text in _mutations():
             try:
                 doc = parse_model_spec(text)
             except ModelSpecError:
@@ -356,3 +500,13 @@ class TestMutationFuzz:
             assert serialize_model_spec(again) == canonical, text
         # the mutations must reach both outcomes
         assert 0 < parsed < 2000
+
+    def test_diagnostics_are_pinned(self):
+        outcomes = []
+        for text in _mutations():
+            try:
+                outcomes.append(serialize_model_spec(parse_model_spec(text)))
+            except ModelSpecError as exc:
+                outcomes.append(f"{exc.kind} {exc.line} {exc.col} {exc.message}")
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert digest == DIAGNOSTICS_DIGEST
