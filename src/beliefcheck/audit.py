@@ -7,7 +7,11 @@ tallies verdicts per implication direction. Audits are pure and
 deterministic: the same claim and source always give the same result,
 including the serialized violation and counterexample listings, and
 the instance stream is index-addressable so runs parallelize into
-ordered chunks with a deterministic merge.
+ordered chunks with a deterministic merge. The exhaustive game stream
+is index-addressable in blocks too: each run of 81 consecutive
+instances shares one belief model and one strategy profile, and a
+claim may decide a whole block at once from each player's own game
+pattern.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ from .qualitative import (
 from .signals import Signal, certain_of, commonly_certain_of
 
 EXHAUSTIVE_STATE_LIMIT = 3
+# A sampled game instance builds every action profile, n_actions **
+# n_players of them; past this many one instance costs seconds and
+# hundreds of megabytes.
+_GAME_PROFILE_LIMIT = 4096
 MODES = ("exhaustive-kripke", "sampled-monotone", "exhaustive-games", "from-files")
 VIOLATION_CAP = 5
 
@@ -92,11 +100,12 @@ class ModelSource:
             if self.n_players > 2:
                 raise ValueError("exhaustive enumeration is capped at 2 players")
         elif self.mode == "exhaustive-games":
-            # 9 ordinal patterns per player already gives 331,776 instances
-            # at 2 states; anything larger is sampling territory
-            if self.n_states > 2 or self.n_players > 2 or self.n_actions > 2:
+            # the sweep enumerates 2x2 games only; 9 ordinal patterns per
+            # player already gives 331,776 instances at 2 states, and
+            # anything larger is sampling territory
+            if self.n_states > 2 or self.n_players != 2 or self.n_actions != 2:
                 raise ValueError(
-                    "exhaustive game sweeps are capped at 2 states, 2 players, 2 actions"
+                    "exhaustive game sweeps take 1 or 2 states, 2 players, 2 actions"
                 )
         elif self.count < 1:
             raise ValueError("sampled source needs a positive count")
@@ -212,22 +221,28 @@ def _pair_model(n: int, corr_i: int, corr_j: int) -> BeliefModel:
     )
 
 
-def _exhaustive_game_at(source: ModelSource, index: int) -> GameModel:
+def _game_blocks(
+    source: ModelSource, lo: int, hi: int
+) -> Iterator[tuple[BeliefModel, tuple[tuple[str, ...], ...], range]]:
+    """Decode the exhaustive game index in blocks of 81 instances that
+    share one belief model and one strategy profile: yield the belief,
+    the strategy rows and the game pattern indices clipped to [lo, hi).
+    Patterns vary fastest, then strategy pairs, then operator pairs."""
     n = source.n_states
-    space = standard_space(n)
-    corr_count = space.size**n
+    corr_count = standard_space(n).size ** n
     strat_count = source.n_actions**n
-    index, game_idx = divmod(index, 81)
-    index, strat_idx = divmod(index, strat_count * strat_count)
-    pair_idx, corr_j = divmod(index, corr_count)
-    corr_i = pair_idx
-    game = _pattern_game(game_idx)
-    belief = _pair_model(n, corr_i, corr_j)
-    s1, s2 = divmod(strat_idx, strat_count)
-    a1, a2 = game.actions
-    return GameModel(
-        belief, game, (_strategy_row(a1, n, s1), _strategy_row(a2, n, s2))
-    )
+    actions = _pattern_game(0).actions
+    for block in range(lo // 81, -(-hi // 81)):
+        base = 81 * block
+        pair_idx, strat_idx = divmod(block, strat_count * strat_count)
+        corr_i, corr_j = divmod(pair_idx, corr_count)
+        s1, s2 = divmod(strat_idx, strat_count)
+        rows = (
+            _strategy_row(actions[0], n, s1),
+            _strategy_row(actions[1], n, s2),
+        )
+        games = range(max(lo, base) - base, min(hi, base + 81) - base)
+        yield _pair_model(n, corr_i, corr_j), rows, games
 
 
 def _sampled_game(rng: random.Random, source: ModelSource) -> GameModel:
@@ -256,6 +271,14 @@ def _instance_count(arena: str, source: ModelSource) -> int:
     if source.mode == "from-files":
         return len(source.files)
     if source.mode == "sampled-monotone":
+        # past 13 players any two-action game is over the limit, so the
+        # exponent is clamped there and the check allocates nothing
+        exponent = min(source.n_players, _GAME_PROFILE_LIMIT.bit_length())
+        if arena == "game" and source.n_actions**exponent > _GAME_PROFILE_LIMIT:
+            raise ValueError(
+                f"sampled games are capped at {_GAME_PROFILE_LIMIT} action "
+                "profiles (actions ** players)"
+            )
         return source.count
     n = source.n_states
     corr_count = standard_space(n).size**n
@@ -296,8 +319,9 @@ def _instances(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
                 )
         return
     if source.mode == "exhaustive-games":
-        for index in range(lo, hi):
-            yield _exhaustive_game_at(source, index)
+        for belief, rows, games in _game_blocks(source, lo, hi):
+            for g in games:
+                yield GameModel(belief, _pattern_game(g), rows)
         return
     rng = random.Random(source.seed)
     for index in range(hi):
@@ -497,8 +521,9 @@ def _model_text(model: BeliefModel) -> Callable[[], str]:
     return lambda: serialize_model(model)
 
 
-def _game_text(gm: GameModel) -> Callable[[], str]:
-    return lambda: serialize_model(game_model=gm)
+def _game_text(belief: BeliefModel, game: Game, rows) -> Callable[[], str]:
+    # the game model is built only when a listing is rendered
+    return lambda: serialize_model(game_model=GameModel(belief, game, rows))
 
 
 def _signal_text(model: BeliefModel, sig: Signal) -> Callable[[], str]:
@@ -759,10 +784,57 @@ def _check_epistemic_iesda(gm: GameModel, acc: _Acc) -> None:
             correct_all = False
         common_bits &= gm.belief.common_belief(rat).bits
     survived = survival_event(gm, maximal_trace(gm.game)).bits
-    text = _game_text(gm)
+    text = _game_text(gm.belief, gm.game, gm.strategies)
     for k in range(gm.space.n):
         premise = correct_all and bool(common_bits >> k & 1)
         acc.implication("implication", premise, bool(survived >> k & 1), text)
+
+
+# Block checks of exhaustive game sweeps. In the pattern game g, the
+# first player's ranks depend only on g // 9 and the second's only on
+# g % 9, and a block fixes the belief model and the strategies. So every
+# fact of one player is decided once per own pattern k, on the diagonal
+# game 10 * k, whose two players both have pattern k.
+
+
+def _own_pattern_models(belief: BeliefModel, rows) -> list[GameModel]:
+    return [GameModel(belief, _pattern_game(10 * k), rows) for k in range(9)]
+
+
+def _block_epistemic_iesda(belief: BeliefModel, rows, games: range, acc: _Acc) -> None:
+    """_check_epistemic_iesda on every game of one block."""
+    models = _own_pattern_models(belief, rows)
+    actions = models[0].game.actions
+    own = []  # per player and own pattern: (correct belief, common belief bits)
+    for p in models[0].game.players:
+        op = belief.operator(p)
+        facts = []
+        for gm in models:
+            rat = rationality_event(gm, p)
+            facts.append(
+                (not op.apply_bits(rat.bits) & ~rat.bits, belief.common_belief(rat).bits)
+            )
+        own.append(facts)
+    # per player and action, the states where the player plays it
+    played = [
+        [sum(1 << i for i, a in enumerate(row) if a == act) for act in acts]
+        for acts, row in zip(actions, rows)
+    ]
+    full = belief.space.size - 1
+    for g in games:
+        acc.add_instance()
+        game = _pattern_game(g)
+        (correct1, common1), (correct2, common2) = own[0][g // 9], own[1][g % 9]
+        premise = common1 & common2 if correct1 and correct2 else 0
+        survived = full
+        for acts, masks, alive in zip(actions, played, maximal_trace(game).survivors):
+            if len(alive) < len(acts):
+                survived &= sum(masks[acts.index(a)] for a in alive)
+        text = _game_text(belief, game, rows)
+        for k in range(belief.space.n):
+            acc.implication(
+                "implication", bool(premise >> k & 1), bool(survived >> k & 1), text
+            )
 
 
 # Claim shapes. Each factory builds the checks of one family of claims
@@ -850,15 +922,30 @@ def _axiom_implication_check(premise: tuple[Axiom, ...], conclusion: tuple[Axiom
     return check
 
 
-def _chain_check(chain: str):
-    """Every player's verdict from the named chain in `games`."""
+def _chain_check(chain: str) -> dict[str, Callable]:
+    """Every player's verdict from the named chain in `games`: the
+    per-instance check and the block check of exhaustive game sweeps,
+    as ClaimSpec keyword arguments."""
 
     def check(gm: GameModel, acc: _Acc) -> None:
         acc.add_instance()
+        text = _game_text(gm.belief, gm.game, gm.strategies)
         for p in gm.game.players:
-            acc.record("implication", globals()[chain](gm, p).status, _game_text(gm))
+            acc.record("implication", globals()[chain](gm, p).status, text)
 
-    return check
+    def block(belief: BeliefModel, rows, games: range, acc: _Acc) -> None:
+        models = _own_pattern_models(belief, rows)
+        first, second = (
+            [globals()[chain](gm, p).status for gm in models]
+            for p in models[0].game.players
+        )
+        for g in games:
+            acc.add_instance()
+            text = _game_text(belief, _pattern_game(g), rows)
+            acc.record("implication", first[g // 9], text)
+            acc.record("implication", second[g % 9], text)
+
+    return {"check": check, "block": block}
 
 
 def _check_beta_not_negbeta_exists(model: BeliefModel, acc: _Acc) -> None:
@@ -897,6 +984,9 @@ class ClaimSpec:
         "sampled-monotone",
         "from-files",
     )
+    # check(belief, rows, games, acc) of one block of an exhaustive game
+    # sweep, making the calls on acc that `check` makes per instance
+    block: Callable | None = None
 
 
 _IFF = ("forward", "backward")
@@ -1094,8 +1184,8 @@ _CLAIMS = (
         "Conjunction make every player correctly believe own "
         "rationality",
         ("implication",),
-        _chain_check("correct_belief_chain"),
-        _GAME_MODES,
+        modes=_GAME_MODES,
+        **_chain_check("correct_belief_chain"),
     ),
     ClaimSpec(
         "consistent-introspective-kripke-players-believe-own-rationality",
@@ -1105,8 +1195,8 @@ _CLAIMS = (
         "consistent, positively introspective Kripke players who are "
         "certain of their strategies correctly believe own rationality",
         ("implication",),
-        _chain_check("introspective_correct_belief_chain"),
-        _GAME_MODES,
+        modes=_GAME_MODES,
+        **_chain_check("introspective_correct_belief_chain"),
     ),
     ClaimSpec(
         "negatively-introspective-kripke-rationality-is-self-evident",
@@ -1117,8 +1207,8 @@ _CLAIMS = (
         "strategies, own rationality is self-evident: the event implies "
         "belief in it",
         ("implication",),
-        _chain_check("self_evident_rationality_chain"),
-        _GAME_MODES,
+        modes=_GAME_MODES,
+        **_chain_check("self_evident_rationality_chain"),
     ),
     ClaimSpec(
         "common-rationality-belief-implies-iesda-survival",
@@ -1131,6 +1221,7 @@ _CLAIMS = (
         ("implication",),
         _check_epistemic_iesda,
         _GAME_MODES,
+        _block_epistemic_iesda,
     ),
     ClaimSpec(
         "truth-implies-consistency",
@@ -1280,8 +1371,12 @@ def resolve_claim(claim: str) -> ClaimSpec:
 def _run_range(claim_id: str, source: ModelSource, lo: int, hi: int, cap: int) -> _Acc:
     spec = resolve_claim(claim_id)
     acc = _Acc(spec.directions, cap)
-    for instance in _instances(spec.arena, source, lo, hi):
-        spec.check(instance, acc)
+    if spec.block is not None and source.mode == "exhaustive-games":
+        for belief, rows, games in _game_blocks(source, lo, hi):
+            spec.block(belief, rows, games, acc)
+    else:
+        for instance in _instances(spec.arena, source, lo, hi):
+            spec.check(instance, acc)
     return acc
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import types
 
 import pytest
 
@@ -19,7 +20,10 @@ from beliefcheck.audit import (
     _CLAIMS,
     _check_epistemic_iesda,
     _check_iteration_gap_exists,
+    _game_blocks,
     _instance_count,
+    _instances,
+    _pattern_game,
     _run_range,
     _sampled_game,
     _worker_count,
@@ -27,18 +31,24 @@ from beliefcheck.audit import (
     _uncovered_signals,
     _Acc,
     _STATUS_INDEX,
+    _GAME_PROFILE_LIMIT,
 )
 from beliefcheck.core import (
     Axiom,
     BeliefModel,
     BeliefOperator,
     FrameProperty,
+    ImplicationStatus,
     PossibilityCorrespondence,
     correspondence_property,
     iterated_mutual_bits,
 )
 from beliefcheck.dsl import parse_model_spec, serialize_model
-from beliefcheck.games import correct_belief_chain, epistemic_iesda_verdict
+from beliefcheck.games import (
+    EliminationTrace,
+    correct_belief_chain,
+    epistemic_iesda_verdict,
+)
 import random
 
 
@@ -66,6 +76,48 @@ class TestModelSource:
     def test_game_sweep_caps(self):
         with pytest.raises(ValueError, match="2 states, 2 players, 2 actions"):
             ModelSource(mode="exhaustive-games", n_actions=3)
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            {"n_players": 1},
+            {"n_players": 3},
+            {"n_actions": 1},
+            {"n_states": 1, "n_actions": 1},
+            {"n_states": 3},
+        ],
+    )
+    def test_game_sweep_is_two_by_two(self, size):
+        # the sweep enumerates 2x2 games whatever the source says, so any
+        # other player or action count would be reported but not run
+        with pytest.raises(ValueError, match="2 states, 2 players, 2 actions"):
+            ModelSource(mode="exhaustive-games", **size)
+
+    def test_game_sweep_on_one_state(self):
+        src = ModelSource(mode="exhaustive-games", n_states=1)
+        assert _instance_count("game", src) == 81 * 2**2 * 2**2
+
+    @pytest.mark.parametrize(
+        "players,actions",
+        [(13, 2), (5, 6), (2, 65), (10**6, 10), (10**9, 2)],
+    )
+    def test_sampled_game_profile_limit(self, players, actions):
+        # rejected before any draw, so even an extreme size costs nothing
+        src = ModelSource(
+            mode="sampled-monotone", n_players=players, n_actions=actions, count=1
+        )
+        limit = f"capped at {_GAME_PROFILE_LIMIT} action profiles"
+        with pytest.raises(ValueError, match=limit):
+            audit("thm2", src)
+        # operator and pair claims never build a game
+        assert _instance_count("pair", src) == 1
+
+    @pytest.mark.parametrize("players,actions", [(12, 2), (6, 4), (2, 64), (10**9, 1)])
+    def test_sampled_game_profile_limit_is_inclusive(self, players, actions):
+        src = ModelSource(
+            mode="sampled-monotone", n_players=players, n_actions=actions, count=3
+        )
+        assert _instance_count("game", src) == 3
 
     def test_sampled_needs_count(self):
         with pytest.raises(ValueError, match="positive count"):
@@ -223,6 +275,145 @@ class TestGameSweeps:
                 status = epistemic_iesda_verdict(gm, state).status
                 expect[_STATUS_INDEX[status.value]] += 1
             assert acc.tallies["implication"] == expect
+
+
+GAME_CLAIMS = ("thm2", "thm2-kripke-pi", "thm2-kripke-ni", "epistemic-iesda")
+# Slices of the exhaustive game stream. Blocks of 81 instances share a
+# belief model and a strategy pair; the strategy pair turns over every
+# block, the second operator every 16 blocks (1,296 instances) and the
+# first operator every 256 blocks (20,736 instances). Each slice ends
+# inside a block and the first starts inside one; the second and fifth
+# cross a first-operator boundary, the third and sixth a
+# second-operator boundary. Every slice but the first has live chain
+# premises, and the last four have live epistemic-iesda premises. In
+# the third, one player's rationality is commonly believed but not
+# correctly believed.
+GAME_SLICES = (
+    (40, 300),
+    (20_700, 20_800),
+    (108_800, 108_900),
+    (165_000, 166_111),
+    (311_000, 311_100),
+    (330_400, 330_560),
+    (331_700, 331_776),
+)
+
+
+def _accumulated(acc):
+    return {
+        "instances": acc.instances,
+        "tallies": acc.tallies,
+        "violations": acc.violations,
+        "violations_total": acc.violations_total,
+        "counterexamples": acc.counterexamples,
+        "counterexamples_total": acc.counterexamples_total,
+    }
+
+
+def _per_instance(claim, source, lo, hi, cap):
+    """The reference: the claim's per-instance check on every instance."""
+    spec = resolve_claim(claim)
+    acc = _Acc(spec.directions, cap)
+    for gm in _instances("game", source, lo, hi):
+        spec.check(gm, acc)
+    return _accumulated(acc)
+
+
+def _blocked(claim, source, lo, hi, cap):
+    return _accumulated(_run_range(resolve_claim(claim).canonical, source, lo, hi, cap))
+
+
+def _own_weight(gm, player):
+    """A number read only from the player's operator, strategy row and
+    ranks: the facts a block check may share across a block."""
+    idx = gm.game.player_index(player)
+    table = gm.belief.operator(player).table()
+    weight = sum((k + 1) * bits for k, bits in enumerate(table))
+    weight = 31 * weight + sum((k + 1) * r for k, r in enumerate(gm.game.ranks[idx]))
+    return 31 * weight + sum((k + 1) * (a == "b") for k, a in enumerate(gm.strategies[idx]))
+
+
+def _forced_chain(gm, player):
+    statuses = tuple(ImplicationStatus)
+    return types.SimpleNamespace(status=statuses[_own_weight(gm, player) % 3])
+
+
+def _forced_trace(game):
+    # a function of the game alone that often eliminates a played action
+    weight = sum((k + 1) * r for row in game.ranks for k, r in enumerate(row))
+    survivors = tuple(
+        (acts[(weight >> i) % len(acts)],) for i, acts in enumerate(game.actions)
+    )
+    return EliminationTrace("maximal", None, (), survivors)
+
+
+class TestGameBlocks:
+    SRC = ModelSource(mode="exhaustive-games")
+
+    def test_own_ranks_depend_on_own_pattern_only(self):
+        for g in range(81):
+            ranks = _pattern_game(g).ranks
+            assert ranks[0] == _pattern_game(9 * (g // 9)).ranks[0]
+            assert ranks[1] == _pattern_game(g % 9).ranks[1]
+        assert len({_pattern_game(9 * k).ranks[0] for k in range(9)}) == 9
+        assert len({_pattern_game(k).ranks[1] for k in range(9)}) == 9
+
+    @pytest.mark.parametrize("lo,hi", GAME_SLICES)
+    def test_blocks_cover_the_slice_in_order(self, lo, hi):
+        instances = list(_instances("game", self.SRC, lo, hi))
+        assert len(instances) == hi - lo
+        blocks = list(_game_blocks(self.SRC, lo, hi))
+        indices = [
+            81 * b + g for b, (_, _, games) in enumerate(blocks, lo // 81) for g in games
+        ]
+        assert indices == list(range(lo, hi))
+        flat = [(belief, rows, g) for belief, rows, games in blocks for g in games]
+        for gm, (belief, rows, g) in zip(instances, flat):
+            assert gm.belief is belief
+            assert gm.strategies == rows
+            assert gm.game == _pattern_game(g)
+
+    @pytest.mark.parametrize("claim", GAME_CLAIMS)
+    @pytest.mark.parametrize("lo,hi", GAME_SLICES)
+    def test_block_check_matches_per_instance(self, claim, lo, hi):
+        assert _blocked(claim, self.SRC, lo, hi, 5) == _per_instance(
+            claim, self.SRC, lo, hi, 5
+        )
+
+    @pytest.mark.parametrize("cap", [0, 3, 40])
+    @pytest.mark.parametrize("lo,hi", GAME_SLICES)
+    def test_forced_chain_violations_list_alike(self, monkeypatch, lo, hi, cap):
+        monkeypatch.setattr("beliefcheck.audit.correct_belief_chain", _forced_chain)
+        blocked = _blocked("thm2", self.SRC, lo, hi, cap)
+        assert blocked == _per_instance("thm2", self.SRC, lo, hi, cap)
+        assert blocked["violations_total"] > 0
+        assert len(blocked["violations"]) == min(cap, blocked["violations_total"])
+
+    @pytest.mark.parametrize("cap", [0, 3, 40])
+    @pytest.mark.parametrize("lo,hi", GAME_SLICES[3:])
+    def test_forced_survival_violations_list_alike(self, monkeypatch, lo, hi, cap):
+        monkeypatch.setattr("beliefcheck.audit.maximal_trace", _forced_trace)
+        blocked = _blocked("epistemic-iesda", self.SRC, lo, hi, cap)
+        assert blocked == _per_instance("epistemic-iesda", self.SRC, lo, hi, cap)
+        assert blocked["violations_total"] > 0
+        assert len(blocked["violations"]) == min(cap, blocked["violations_total"])
+
+    def test_forced_witness_is_the_failing_instance(self, monkeypatch):
+        monkeypatch.setattr("beliefcheck.audit.correct_belief_chain", _forced_chain)
+        lo, hi = GAME_SLICES[1]
+        listed = _blocked("thm2", self.SRC, lo, hi, 1)["violations"]
+        for gm in _instances("game", self.SRC, lo, hi):
+            if any(_forced_chain(gm, p).status == "violated" for p in gm.game.players):
+                assert listed == [serialize_model(game_model=gm)]
+                break
+        else:
+            pytest.fail("no forced violation in the slice")
+
+    @pytest.mark.parametrize("claim", ["epistemic-iesda", "thm2-kripke-ni"])
+    def test_parallel_sweep_matches_inline(self, claim):
+        one = json.dumps(audit(claim, self.SRC, jobs=1).to_dict())
+        two = json.dumps(audit(claim, self.SRC, jobs=2).to_dict())
+        assert one == two
 
 
 class TestExistenceClaims:
@@ -558,6 +749,29 @@ class TestReportDigests:
         result = audit(claim, DIGEST_SOURCES[label])
         text = json.dumps(result.to_dict(), sort_keys=True, ensure_ascii=False)
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[claim, label]
+
+
+# SHA-256 of the sorted JSON report of each game claim on the full
+# exhaustive 2x2 game sweep, recorded with the per-instance checks
+# before the sweep was decided in blocks.
+EXHAUSTIVE_GAME_DIGESTS = {
+    "certain-compatible-conjunctive-players-believe-own-rationality": "99984c84f3ee93cf9a2d85444bc9847549c02bbceda68f89d6a82c182e3fa2a3",
+    "consistent-introspective-kripke-players-believe-own-rationality": "a25da9fd2e0735a195f049c1f5069f023294110c5e9b43dc22663002dded81e1",
+    "negatively-introspective-kripke-rationality-is-self-evident": "9aca5f501774bd3f463384740b41cf29dc1c34d67faad2718a3bb87c599708ab",
+    "common-rationality-belief-implies-iesda-survival": "c7ce6b8eeda72f71eb01abe86f717bc55a50d1bb13e7961bf3494a3a3697eaea",
+}
+
+
+class TestExhaustiveGameDigests:
+    def test_every_game_claim_is_pinned(self):
+        games = {s.canonical for s in _CLAIMS if "exhaustive-games" in s.modes}
+        assert set(EXHAUSTIVE_GAME_DIGESTS) == games
+
+    @pytest.mark.parametrize("claim", sorted(EXHAUSTIVE_GAME_DIGESTS))
+    def test_report_is_unchanged(self, claim):
+        result = audit(claim, ModelSource(mode="exhaustive-games"))
+        text = json.dumps(result.to_dict(), sort_keys=True, ensure_ascii=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_GAME_DIGESTS[claim]
 
 
 class TestCalleesResolvedAtCallTime:

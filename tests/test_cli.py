@@ -227,6 +227,26 @@ class TestAudit:
         assert code == 2
         assert "count" in err
 
+    @pytest.mark.parametrize(
+        "size", [("--states", "1", "--actions", "1"), ("--players", "1")]
+    )
+    def test_game_sweep_size_is_input_error(self, capsys, size):
+        code, out, err = run(
+            capsys, "audit", "--claim", "epistemic-iesda", "--mode", "games", *size,
+        )
+        assert code == 2
+        assert out == ""
+        assert "2 states, 2 players, 2 actions" in err
+
+    def test_sampled_game_profile_limit_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "audit", "--claim", "thm2", "--mode", "sampled", "--states", "2",
+            "--players", "6", "--actions", "10", "--count", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "action profiles" in err
+
     def test_mode_restriction_reported_as_input_error(self, capsys):
         code, _, err = run(
             capsys, "audit", "--claim", "thm2", "--mode", "exhaustive",
