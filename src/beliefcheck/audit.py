@@ -39,7 +39,7 @@ from .core import (
 from .dsl import parse_model_spec, serialize_model
 from .games import Game, GameModel, correct_belief_chain
 from .games import introspective_correct_belief_chain, self_evident_rationality_chain
-from .games import maximal_trace, rationality_event, survival_event
+from .games import maximal_trace, rationality_event, survival_bits
 from .informativeness import check_certainty_compatibility
 from .qualitative import (
     FamilyKind,
@@ -55,6 +55,7 @@ EXHAUSTIVE_STATE_LIMIT = 3
 # n_players of them; past this many one instance costs seconds and
 # hundreds of megabytes.
 _GAME_PROFILE_LIMIT = 4096
+_ACTION_NAMES = "abcdefghij"  # of a sampled game; their count caps its actions
 MODES = ("exhaustive-kripke", "sampled-monotone", "exhaustive-games", "from-files")
 VIOLATION_CAP = 5
 
@@ -249,7 +250,7 @@ def _sampled_game(rng: random.Random, source: ModelSource) -> GameModel:
     space = standard_space(source.n_states)
     players = tuple(f"p{k + 1}" for k in range(source.n_players))
     ops = {p: _draw_operator(rng, space, owner=p) for p in players}
-    letters = "abcdefghij"[: source.n_actions]
+    letters = _ACTION_NAMES[: source.n_actions]
     actions = {p: tuple(letters) for p in players}
     profiles = list(itertools.product(*(actions[p] for p in players)))
     ranks = {
@@ -278,6 +279,10 @@ def _instance_count(arena: str, source: ModelSource) -> int:
             raise ValueError(
                 f"sampled games are capped at {_GAME_PROFILE_LIMIT} action "
                 "profiles (actions ** players)"
+            )
+        if arena == "game" and source.n_actions > len(_ACTION_NAMES):
+            raise ValueError(
+                f"sampled games are capped at {len(_ACTION_NAMES)} actions per player"
             )
         return source.count
     n = source.n_states
@@ -319,6 +324,7 @@ def _instances(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
                 )
         return
     if source.mode == "exhaustive-games":
+        # audits run the block checks; this stream is their tested reference
         for belief, rows, games in _game_blocks(source, lo, hi):
             for g in games:
                 yield GameModel(belief, _pattern_game(g), rows)
@@ -408,10 +414,13 @@ class _Acc:
         for d in self.order:
             self.record(d, "vacuous")
 
-    def witness(self, text) -> None:
-        self.counterexamples_total += 1
-        if len(self.counterexamples) < self.cap:
-            self.counterexamples.append(text() if callable(text) else text)
+    def exists(self, found: bool, text) -> None:
+        """Record the witness direction, listing the witness when found."""
+        self.record("witness", "confirmed" if found else "vacuous")
+        if found:
+            self.counterexamples_total += 1
+            if len(self.counterexamples) < self.cap:
+                self.counterexamples.append(text() if callable(text) else text)
 
     def merge(self, other: "_Acc") -> None:
         for d in self.order:
@@ -609,15 +618,23 @@ def _check_thm1_conjunctive(model: BeliefModel, acc: _Acc) -> None:
 
 def _check_thm1_converse_fails(model: BeliefModel, acc: _Acc) -> None:
     acc.add_instance()
-    if not _conjunctive_profile(model):
-        acc.vacuous()
-        return
-    fixed = operators_equal(model.common_operator(), model.mutual_operator()).holds
-    if fixed and not _commonly_certain_of_profile(model):
-        acc.record("witness", "confirmed")
-        acc.witness(_model_text(model))
-    else:
-        acc.record("witness", "vacuous")
+    acc.exists(
+        _conjunctive_profile(model)
+        and operators_equal(model.common_operator(), model.mutual_operator()).holds
+        and not _commonly_certain_of_profile(model),
+        _model_text(model),
+    )
+
+
+def _common_and_iterated(model: BeliefModel) -> list[tuple[int, int]]:
+    """Per event, the common-belief bits and the intersection of the
+    iterated mutual beliefs. The accumulator is nonincreasing and the
+    iterate sequence cycles within 2^n steps, so twice around absorbs
+    the whole cycle."""
+    common = model.common_operator().table()
+    mutual = model.mutual_table()
+    depth = 2 * model.space.size + 1
+    return [(c, iterated_mutual_bits(mutual, e, depth)) for e, c in enumerate(common)]
 
 
 def _check_common_vs_iteration(model: BeliefModel, acc: _Acc) -> None:
@@ -625,18 +642,9 @@ def _check_common_vs_iteration(model: BeliefModel, acc: _Acc) -> None:
     conjunctive = all(
         _holds(op, Axiom.COUNTABLE_CONJUNCTION) for op in model.operators.values()
     )
-    common = model.common_operator().table()
-    mutual = model.mutual_table()
-    contained = True
-    equal = True
-    for e in range(model.space.size):
-        # the accumulator is nonincreasing and the iterate sequence cycles
-        # within 2^n steps, so twice around absorbs the whole cycle
-        stab = iterated_mutual_bits(mutual, e, 2 * model.space.size + 1)
-        if common[e] & ~stab:
-            contained = False
-        if common[e] != stab:
-            equal = False
+    pairs = _common_and_iterated(model)
+    contained = all(not common & ~stab for common, stab in pairs)
+    equal = all(common == stab for common, stab in pairs)
     text = _model_text(model)
     acc.implication("contained-in-iteration", True, contained, text)
     acc.implication("equals-at-stabilization", conjunctive, equal, text)
@@ -644,15 +652,13 @@ def _check_common_vs_iteration(model: BeliefModel, acc: _Acc) -> None:
 
 def _check_iteration_gap_exists(model: BeliefModel, acc: _Acc) -> None:
     acc.add_instance()
-    common = model.common_operator().table()
-    mutual = model.mutual_table()
-    for e in range(model.space.size):
-        stab = iterated_mutual_bits(mutual, e, 2 * model.space.size + 1)
-        if common[e] != stab and common[e] & ~stab == 0:
-            acc.record("witness", "confirmed")
-            acc.witness(_model_text(model))
-            return
-    acc.record("witness", "vacuous")
+    acc.exists(
+        any(
+            common != stab and not common & ~stab
+            for common, stab in _common_and_iterated(model)
+        ),
+        _model_text(model),
+    )
 
 
 @lru_cache(maxsize=32)
@@ -771,72 +777,6 @@ def _check_compatibility_chain(model: BeliefModel, acc: _Acc) -> None:
     acc.record("implication", report.status, _model_text(model))
 
 
-def _check_epistemic_iesda(gm: GameModel, acc: _Acc) -> None:
-    # Status-equivalent to epistemic_iesda_verdict per state, with the
-    # state-independent premises hoisted out of the loop.
-    acc.add_instance()
-    players = gm.game.players
-    correct_all = True
-    common_bits = (1 << len(gm.space.states)) - 1
-    for p in players:
-        rat = rationality_event(gm, p)
-        if gm.belief.operator(p).apply_bits(rat.bits) & ~rat.bits:
-            correct_all = False
-        common_bits &= gm.belief.common_belief(rat).bits
-    survived = survival_event(gm, maximal_trace(gm.game)).bits
-    text = _game_text(gm.belief, gm.game, gm.strategies)
-    for k in range(gm.space.n):
-        premise = correct_all and bool(common_bits >> k & 1)
-        acc.implication("implication", premise, bool(survived >> k & 1), text)
-
-
-# Block checks of exhaustive game sweeps. In the pattern game g, the
-# first player's ranks depend only on g // 9 and the second's only on
-# g % 9, and a block fixes the belief model and the strategies. So every
-# fact of one player is decided once per own pattern k, on the diagonal
-# game 10 * k, whose two players both have pattern k.
-
-
-def _own_pattern_models(belief: BeliefModel, rows) -> list[GameModel]:
-    return [GameModel(belief, _pattern_game(10 * k), rows) for k in range(9)]
-
-
-def _block_epistemic_iesda(belief: BeliefModel, rows, games: range, acc: _Acc) -> None:
-    """_check_epistemic_iesda on every game of one block."""
-    models = _own_pattern_models(belief, rows)
-    actions = models[0].game.actions
-    own = []  # per player and own pattern: (correct belief, common belief bits)
-    for p in models[0].game.players:
-        op = belief.operator(p)
-        facts = []
-        for gm in models:
-            rat = rationality_event(gm, p)
-            facts.append(
-                (not op.apply_bits(rat.bits) & ~rat.bits, belief.common_belief(rat).bits)
-            )
-        own.append(facts)
-    # per player and action, the states where the player plays it
-    played = [
-        [sum(1 << i for i, a in enumerate(row) if a == act) for act in acts]
-        for acts, row in zip(actions, rows)
-    ]
-    full = belief.space.size - 1
-    for g in games:
-        acc.add_instance()
-        game = _pattern_game(g)
-        (correct1, common1), (correct2, common2) = own[0][g // 9], own[1][g % 9]
-        premise = common1 & common2 if correct1 and correct2 else 0
-        survived = full
-        for acts, masks, alive in zip(actions, played, maximal_trace(game).survivors):
-            if len(alive) < len(acts):
-                survived &= sum(masks[acts.index(a)] for a in alive)
-        text = _game_text(belief, game, rows)
-        for k in range(belief.space.n):
-            acc.implication(
-                "implication", bool(premise >> k & 1), bool(survived >> k & 1), text
-            )
-
-
 # Claim shapes. Each factory builds the checks of one family of claims
 # that differ only in their parameters. Callees in other layers (the
 # access checks and the chains) are named, and looked up in this
@@ -922,28 +862,65 @@ def _axiom_implication_check(premise: tuple[Axiom, ...], conclusion: tuple[Axiom
     return check
 
 
-def _chain_check(chain: str) -> dict[str, Callable]:
-    """Every player's verdict from the named chain in `games`: the
-    per-instance check and the block check of exhaustive game sweeps,
-    as ClaimSpec keyword arguments."""
+# Game claims. Each is a per-player fact, which reads only that
+# player's operator, the strategy rows and the player's own ranks, and a
+# tally, which records one instance from every player's fact.
+
+
+def _chain_fact(chain: str) -> Callable:
+    """A player's verdict from the named chain in `games`."""
+    return lambda gm, p: globals()[chain](gm, p).status
+
+
+def _chain_tally(belief: BeliefModel, game: Game, rows, facts, acc: _Acc) -> None:
+    acc.add_instance()
+    text = _game_text(belief, game, rows)
+    for status in facts:
+        acc.record("implication", status, text)
+
+
+def _rationality_fact(gm: GameModel, p: str) -> tuple[bool, int]:
+    """Whether p correctly believes own rationality, and the states where
+    that rationality is commonly believed."""
+    rat = rationality_event(gm, p)
+    correct = not gm.belief.operator(p).apply_bits(rat.bits) & ~rat.bits
+    return correct, gm.belief.common_belief(rat).bits
+
+
+def _survival_tally(belief: BeliefModel, game: Game, rows, facts, acc: _Acc) -> None:
+    # status-equivalent to epistemic_iesda_verdict at every state
+    acc.add_instance()
+    premise = belief.space.size - 1
+    for correct, common in facts:
+        premise &= common if correct else 0
+    # without a live premise every state is vacuous, whatever survives
+    survived = premise and survival_bits(game, rows, maximal_trace(game))
+    text = _game_text(belief, game, rows)
+    for k in range(belief.space.n):
+        acc.implication(
+            "implication", bool(premise >> k & 1), bool(survived >> k & 1), text
+        )
+
+
+def _game_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
+    """The per-instance check and the block check of one game claim, as
+    ClaimSpec keyword arguments.
+
+    In pattern game g the first player's ranks depend only on g // 9 and
+    the second's only on g % 9, and a block fixes the belief model and
+    the strategies. So the block check decides each player's fact once
+    per own pattern k, on the diagonal game 10 * k, whose two players
+    both have pattern k."""
 
     def check(gm: GameModel, acc: _Acc) -> None:
-        acc.add_instance()
-        text = _game_text(gm.belief, gm.game, gm.strategies)
-        for p in gm.game.players:
-            acc.record("implication", globals()[chain](gm, p).status, text)
+        facts = [fact(gm, p) for p in gm.game.players]
+        tally(gm.belief, gm.game, gm.strategies, facts, acc)
 
     def block(belief: BeliefModel, rows, games: range, acc: _Acc) -> None:
-        models = _own_pattern_models(belief, rows)
-        first, second = (
-            [globals()[chain](gm, p).status for gm in models]
-            for p in models[0].game.players
-        )
+        models = [GameModel(belief, _pattern_game(10 * k), rows) for k in range(9)]
+        first, second = ([fact(gm, p) for gm in models] for p in models[0].game.players)
         for g in games:
-            acc.add_instance()
-            text = _game_text(belief, _pattern_game(g), rows)
-            acc.record("implication", first[g // 9], text)
-            acc.record("implication", second[g % 9], text)
+            tally(belief, _pattern_game(g), rows, (first[g // 9], second[g % 9]), acc)
 
     return {"check": check, "block": block}
 
@@ -951,16 +928,13 @@ def _chain_check(chain: str) -> dict[str, Callable]:
 def _check_beta_not_negbeta_exists(model: BeliefModel, acc: _Acc) -> None:
     p, op = _single(model)
     acc.add_instance()
-    if (
+    acc.exists(
         _holds(op, Axiom.POSITIVE_INTROSPECTION)
         and not _holds(op, Axiom.NEGATIVE_INTROSPECTION)
         and _certain_of_type(model, p, p, FamilyKind.BETA)
-        and not _certain_of_type(model, p, p, FamilyKind.NEG_BETA)
-    ):
-        acc.record("witness", "confirmed")
-        acc.witness(_model_text(model))
-    else:
-        acc.record("witness", "vacuous")
+        and not _certain_of_type(model, p, p, FamilyKind.NEG_BETA),
+        _model_text(model),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1185,7 +1159,7 @@ _CLAIMS = (
         "rationality",
         ("implication",),
         modes=_GAME_MODES,
-        **_chain_check("correct_belief_chain"),
+        **_game_claim(_chain_fact("correct_belief_chain"), _chain_tally),
     ),
     ClaimSpec(
         "consistent-introspective-kripke-players-believe-own-rationality",
@@ -1196,7 +1170,7 @@ _CLAIMS = (
         "certain of their strategies correctly believe own rationality",
         ("implication",),
         modes=_GAME_MODES,
-        **_chain_check("introspective_correct_belief_chain"),
+        **_game_claim(_chain_fact("introspective_correct_belief_chain"), _chain_tally),
     ),
     ClaimSpec(
         "negatively-introspective-kripke-rationality-is-self-evident",
@@ -1208,7 +1182,7 @@ _CLAIMS = (
         "belief in it",
         ("implication",),
         modes=_GAME_MODES,
-        **_chain_check("self_evident_rationality_chain"),
+        **_game_claim(_chain_fact("self_evident_rationality_chain"), _chain_tally),
     ),
     ClaimSpec(
         "common-rationality-belief-implies-iesda-survival",
@@ -1219,9 +1193,8 @@ _CLAIMS = (
         "own-rationality beliefs keeps the played profile among the "
         "iterated-dominance survivors",
         ("implication",),
-        _check_epistemic_iesda,
-        _GAME_MODES,
-        _block_epistemic_iesda,
+        modes=_GAME_MODES,
+        **_game_claim(_rationality_fact, _survival_tally),
     ),
     ClaimSpec(
         "truth-implies-consistency",
@@ -1371,7 +1344,7 @@ def resolve_claim(claim: str) -> ClaimSpec:
 def _run_range(claim_id: str, source: ModelSource, lo: int, hi: int, cap: int) -> _Acc:
     spec = resolve_claim(claim_id)
     acc = _Acc(spec.directions, cap)
-    if spec.block is not None and source.mode == "exhaustive-games":
+    if source.mode == "exhaustive-games":
         for belief, rows, games in _game_blocks(source, lo, hi):
             spec.block(belief, rows, games, acc)
     else:

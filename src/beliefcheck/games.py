@@ -270,18 +270,8 @@ def _rational_bits(gm: GameModel, player: str) -> int:
 
 
 def rationality_event(gm: GameModel, player: str) -> Event:
-    """No alternative is believed to do strictly better than the action played."""
-    return Event(gm.space, _rational_bits(gm, player))
-
-
-def rationality_event_possibility(gm: GameModel, player: str) -> Event:
-    """Restated form: the player always considers it possible that the
-    action played is at least as good as any alternative.
-
-    Ranks are totally ordered, so "ref is not at least as good as alt" is
-    "alt is strictly better than ref", and the believed-worse events here
-    are the believed-better events of rationality_event.
-    """
+    """No alternative is believed to do strictly better than the action
+    played; with total ranks, the restated form: never believed worse."""
     return Event(gm.space, _rational_bits(gm, player))
 
 
@@ -421,17 +411,22 @@ def survives(trace: EliminationTrace, profile: Sequence[str]) -> bool:
     )
 
 
-def survival_event(gm: GameModel, trace: EliminationTrace) -> Event:
+def survival_bits(game: Game, rows, trace: EliminationTrace) -> int:
     """States whose played profile survives: per player, the states
-    playing an action that the trace keeps."""
-    bits = gm.space.size - 1
-    for acts, alive, row in zip(gm.game.actions, trace.survivors, gm._codes):
+    playing an action that the trace keeps. rows[i] is player i's action
+    at every state, as in GameModel.strategies."""
+    bits = (1 << len(rows[0])) - 1
+    for acts, alive, row in zip(game.actions, trace.survivors, rows):
         if len(alive) < len(acts):
-            live = {acts.index(a) for a in alive}
-            for i, code in enumerate(row):
-                if code not in live:
+            for i, action in enumerate(row):
+                if action not in alive:
                     bits &= ~(1 << i)
-    return Event(gm.space, bits)
+    return bits
+
+
+def survival_event(gm: GameModel, trace: EliminationTrace) -> Event:
+    """The event of survival_bits on a game model."""
+    return Event(gm.space, survival_bits(gm.game, gm.strategies, trace))
 
 
 def correct_belief_in_own_rationality(gm: GameModel, player: str) -> CheckReport:
@@ -515,7 +510,6 @@ class EpistemicIesdaVerdict:
     state: str
     common_rationality: tuple[tuple[str, bool], ...]
     correct_belief: tuple[CheckReport, ...]
-    premise_chains: tuple[ImplicationReport, ...]
     profile: tuple[tuple[str, str], ...]
     survives: bool
     trace: EliminationTrace
@@ -536,7 +530,6 @@ def epistemic_iesda_verdict(gm: GameModel, state: str) -> EpistemicIesdaVerdict:
         for p in players
     )
     correct = tuple(correct_belief_in_own_rationality(gm, p) for p in players)
-    chains = tuple(correct_belief_chain(gm, p) for p in players)
     trace = maximal_trace(gm.game)
     profile = gm.profile_at(state)
     survived = survives(trace, profile)
@@ -556,7 +549,6 @@ def epistemic_iesda_verdict(gm: GameModel, state: str) -> EpistemicIesdaVerdict:
         state=state,
         common_rationality=common,
         correct_belief=correct,
-        premise_chains=chains,
         profile=tuple(zip(players, profile)),
         survives=survived,
         trace=trace,

@@ -18,7 +18,6 @@ from beliefcheck.audit import (
     sample_monotone_operators,
     standard_space,
     _CLAIMS,
-    _check_epistemic_iesda,
     _check_iteration_gap_exists,
     _game_blocks,
     _instance_count,
@@ -112,12 +111,25 @@ class TestModelSource:
         # operator and pair claims never build a game
         assert _instance_count("pair", src) == 1
 
-    @pytest.mark.parametrize("players,actions", [(12, 2), (6, 4), (2, 64), (10**9, 1)])
+    @pytest.mark.parametrize(
+        "players,actions", [(12, 2), (6, 4), (4, 8), (3, 10), (10**9, 1)]
+    )
     def test_sampled_game_profile_limit_is_inclusive(self, players, actions):
         src = ModelSource(
             mode="sampled-monotone", n_players=players, n_actions=actions, count=3
         )
         assert _instance_count("game", src) == 3
+
+    @pytest.mark.parametrize("players,actions", [(1, 11), (2, 12), (3, 16), (2, 64)])
+    def test_sampled_game_action_limit(self, players, actions):
+        # sampled games name their actions a-j; more would be reported
+        # but not drawn
+        src = ModelSource(
+            mode="sampled-monotone", n_players=players, n_actions=actions, count=1
+        )
+        with pytest.raises(ValueError, match="capped at 10 actions per player"):
+            audit("thm2", src)
+        assert _instance_count("pair", src) == 1
 
     def test_sampled_needs_count(self):
         with pytest.raises(ValueError, match="positive count"):
@@ -198,6 +210,13 @@ class TestRegistry:
                       "frame-euclidean"):
             assert "sampled-monotone" not in resolve_claim(alias).modes
 
+    def test_exhaustive_game_claims_have_block_checks(self):
+        # without one, a sweep would build all 331,776 game models one
+        # by one
+        games = [s for s in _CLAIMS if "exhaustive-games" in s.modes]
+        assert len(games) == 4
+        assert all(s.block is not None for s in games)
+
     def test_game_claims_skip_operator_sweeps(self):
         for alias in ("thm2", "epistemic-iesda"):
             assert "exhaustive-kripke" not in resolve_claim(alias).modes
@@ -269,7 +288,7 @@ class TestGameSweeps:
         for _ in range(src.count):
             gm = _sampled_game(rng, src)
             acc = _Acc(("implication",), cap=0)
-            _check_epistemic_iesda(gm, acc)
+            resolve_claim("epistemic-iesda").check(gm, acc)
             expect = [0, 0, 0]
             for state in gm.space.states:
                 status = epistemic_iesda_verdict(gm, state).status

@@ -247,6 +247,15 @@ class TestAudit:
         assert out == ""
         assert "action profiles" in err
 
+    def test_sampled_game_action_limit_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "audit", "--claim", "thm2", "--mode", "sampled",
+            "--actions", "12", "--count", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "capped at 10 actions per player" in err
+
     def test_mode_restriction_reported_as_input_error(self, capsys):
         code, _, err = run(
             capsys, "audit", "--claim", "thm2", "--mode", "exhaustive",
