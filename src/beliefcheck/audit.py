@@ -7,11 +7,16 @@ tallies verdicts per implication direction. Audits are pure and
 deterministic: the same claim and source always give the same result,
 including the serialized violation and counterexample listings, and
 the instance stream is index-addressable so runs parallelize into
-ordered chunks with a deterministic merge. The exhaustive game stream
-is index-addressable in blocks too: each run of 81 consecutive
-instances shares one belief model and one strategy profile, and a
-claim may decide a whole block at once from each player's own game
-pattern.
+ordered chunks with a deterministic merge. The exhaustive streams are
+swept without building each instance. A pair claim reads each player's
+operator through one per-operator fact, so the exhaustive Kripke pair
+stream decides the fact of each of its (2^n)^n operators once and
+tallies every pair from two facts. In the exhaustive game stream each
+run of 81 consecutive instances shares one belief model and one
+strategy profile, and a claim decides a whole block at once from each
+player's own game pattern. Generated pair instances have exactly two
+players, so pair claims refuse a generated source with any other
+player count.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -32,9 +37,10 @@ from .core import (
     ImplicationStatus,
     PossibilityCorrespondence,
     StateSpace,
+    common_table,
     correspondence_property,
+    intersect_tables,
     iterated_mutual_bits,
-    operators_equal,
 )
 from .dsl import parse_model_spec, serialize_model
 from .games import Game, GameModel, correct_belief_chain
@@ -43,12 +49,12 @@ from .games import maximal_trace, rationality_event, survival_bits
 from .informativeness import check_certainty_compatibility
 from .qualitative import (
     FamilyKind,
-    negative_access,
-    positive_access,
+    negative_access_bits,
+    positive_access_bits,
     type_mapping_of,
     type_signal,
 )
-from .signals import Signal, certain_of, commonly_certain_of
+from .signals import Signal, certain_of, unbelieved_bits
 
 EXHAUSTIVE_STATE_LIMIT = 3
 # A sampled game instance builds every action profile, n_actions **
@@ -57,6 +63,7 @@ EXHAUSTIVE_STATE_LIMIT = 3
 _GAME_PROFILE_LIMIT = 4096
 _ACTION_NAMES = "abcdefghij"  # of a sampled game; their count caps its actions
 MODES = ("exhaustive-kripke", "sampled-monotone", "exhaustive-games", "from-files")
+_SWEPT_MODES = ("exhaustive-kripke", "exhaustive-games")
 VIOLATION_CAP = 5
 
 # ordinal content of a 2x2 game, per player: the sign of the own-action
@@ -271,6 +278,9 @@ def _sampled_game(rng: random.Random, source: ModelSource) -> GameModel:
 def _instance_count(arena: str, source: ModelSource) -> int:
     if source.mode == "from-files":
         return len(source.files)
+    if arena == "pair" and source.n_players != 2:
+        # generated pair instances always have two players, i and j
+        raise ValueError("pair claims take exactly 2 players")
     if source.mode == "sampled-monotone":
         # past 13 players any two-action game is over the limit, so the
         # exponent is clamped there and the check allocates nothing
@@ -312,19 +322,16 @@ def _instances(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
     n = source.n_states
     space = standard_space(n)
     if source.mode == "exhaustive-kripke":
+        # pair audits run their sweeps; this stream is their tested reference
         corr_count = space.size**n
         for index in range(lo, hi):
             if arena == "operator":
                 yield BeliefModel(space, {"i": _kripke_op_at(n, index, "i")})
             else:
-                a, b = divmod(index, corr_count)
-                yield BeliefModel(
-                    space,
-                    {"i": _kripke_op_at(n, a, "i"), "j": _kripke_op_at(n, b, "j")},
-                )
+                yield _kripke_pair(n, *divmod(index, corr_count))
         return
     if source.mode == "exhaustive-games":
-        # audits run the block checks; this stream is their tested reference
+        # audits run the sweeps; this stream is their tested reference
         for belief, rows, games in _game_blocks(source, lo, hi):
             for g in games:
                 yield GameModel(belief, _pattern_game(g), rows)
@@ -385,8 +392,8 @@ class _Acc:
         self.counterexamples: list[str] = []
         self.counterexamples_total = 0
 
-    def add_instance(self) -> None:
-        self.instances += 1
+    def add_instance(self, count: int = 1) -> None:
+        self.instances += count
 
     def record(self, direction: str, status, text=None) -> None:
         if isinstance(status, ImplicationStatus):
@@ -409,10 +416,10 @@ class _Acc:
         self.implication("forward", gate and left, right, text)
         self.implication("backward", gate and right, left, text)
 
-    def vacuous(self) -> None:
-        """Record every direction of this instance as vacuous."""
+    def vacuous(self, count: int = 1) -> None:
+        """Record every direction of `count` instances as vacuous."""
         for d in self.order:
-            self.record(d, "vacuous")
+            self.tallies[d][0] += count
 
     def exists(self, found: bool, text) -> None:
         """Record the witness direction, listing the witness when found."""
@@ -535,130 +542,13 @@ def _game_text(belief: BeliefModel, game: Game, rows) -> Callable[[], str]:
     return lambda: serialize_model(game_model=GameModel(belief, game, rows))
 
 
-def _signal_text(model: BeliefModel, sig: Signal) -> Callable[[], str]:
-    return lambda: serialize_model(model, signals=(sig,))
-
-
 def _single(model: BeliefModel) -> tuple[str, BeliefOperator]:
     p = model.players[0]
     return p, model.operator(p)
 
 
-def _pair(model: BeliefModel) -> tuple[str, str, BeliefOperator, BeliefOperator]:
-    if len(model.players) < 2:
-        raise ValueError("pair claims need a model with at least two players")
-    i, j = model.players[0], model.players[1]
-    return i, j, model.operator(i), model.operator(j)
-
-
 def _all_hold(op: BeliefOperator, axioms: tuple[Axiom, ...]) -> bool:
     return all(_holds(op, axiom) for axiom in axioms)
-
-
-def _commonly_certain_of_profile(model: BeliefModel) -> bool:
-    return all(
-        commonly_certain_of(
-            model, _type_signal_of(model.operator(s), FamilyKind.SIGMA_ATOMS)
-        ).holds
-        for s in model.players
-    )
-
-
-def _equals_common(model: BeliefModel) -> bool:
-    common = model.common_operator()
-    return all(operators_equal(op, common).holds for op in model.operators.values())
-
-
-def _check_thm1_truthful(model: BeliefModel, acc: _Acc) -> None:
-    acc.add_instance()
-    if not all(_holds(op, Axiom.TRUTH) for op in model.operators.values()):
-        acc.vacuous()
-        return
-    left = _commonly_certain_of_profile(model)
-    ops = list(model.operators.values())
-    right = all(
-        operators_equal(a, b).holds for a, b in itertools.combinations(ops, 2)
-    ) and all(_holds(op, Axiom.NEGATIVE_INTROSPECTION) for op in ops)
-    text = _model_text(model)
-    acc.biconditional(left, right, text)
-    acc.implication("in-particular", left, left and _equals_common(model), text)
-
-
-def _common_access(model: BeliefModel) -> bool:
-    common = model.common_operator()
-    return all(
-        positive_access(common, op).holds and negative_access(common, op).holds
-        for op in model.operators.values()
-    )
-
-
-def _conjunctive_profile(model: BeliefModel) -> bool:
-    return all(
-        _holds(op, Axiom.CONSISTENCY) and _holds(op, Axiom.COUNTABLE_CONJUNCTION)
-        for op in model.operators.values()
-    )
-
-
-def _check_thm1_conjunctive(model: BeliefModel, acc: _Acc) -> None:
-    acc.add_instance()
-    if not _conjunctive_profile(model):
-        acc.vacuous()
-        return
-    left = _commonly_certain_of_profile(model)
-    right = _common_access(model)
-    text = _model_text(model)
-    acc.biconditional(left, right, text)
-    acc.implication(
-        "in-particular",
-        left,
-        left and operators_equal(model.common_operator(), model.mutual_operator()).holds,
-        text,
-    )
-
-
-def _check_thm1_converse_fails(model: BeliefModel, acc: _Acc) -> None:
-    acc.add_instance()
-    acc.exists(
-        _conjunctive_profile(model)
-        and operators_equal(model.common_operator(), model.mutual_operator()).holds
-        and not _commonly_certain_of_profile(model),
-        _model_text(model),
-    )
-
-
-def _common_and_iterated(model: BeliefModel) -> list[tuple[int, int]]:
-    """Per event, the common-belief bits and the intersection of the
-    iterated mutual beliefs. The accumulator is nonincreasing and the
-    iterate sequence cycles within 2^n steps, so twice around absorbs
-    the whole cycle."""
-    common = model.common_operator().table()
-    mutual = model.mutual_table()
-    depth = 2 * model.space.size + 1
-    return [(c, iterated_mutual_bits(mutual, e, depth)) for e, c in enumerate(common)]
-
-
-def _check_common_vs_iteration(model: BeliefModel, acc: _Acc) -> None:
-    acc.add_instance()
-    conjunctive = all(
-        _holds(op, Axiom.COUNTABLE_CONJUNCTION) for op in model.operators.values()
-    )
-    pairs = _common_and_iterated(model)
-    contained = all(not common & ~stab for common, stab in pairs)
-    equal = all(common == stab for common, stab in pairs)
-    text = _model_text(model)
-    acc.implication("contained-in-iteration", True, contained, text)
-    acc.implication("equals-at-stabilization", conjunctive, equal, text)
-
-
-def _check_iteration_gap_exists(model: BeliefModel, acc: _Acc) -> None:
-    acc.add_instance()
-    acc.exists(
-        any(
-            common != stab and not common & ~stab
-            for common, stab in _common_and_iterated(model)
-        ),
-        _model_text(model),
-    )
 
 
 @lru_cache(maxsize=32)
@@ -718,58 +608,6 @@ def _uncovered_signals(space: StateSpace) -> tuple[Signal, ...]:
     return tuple(signals)
 
 
-def _transfer_loop(
-    model: BeliefModel, acc: _Acc, direction: str, signals: tuple[Signal, ...]
-) -> None:
-    # conclusion certainty is only computed on live premises; vacuous
-    # instances must cost nothing at pair-sweep scale
-    i, j, op_i, op_j = _pair(model)
-    live = (
-        _holds(op_i, Axiom.CONSISTENCY)
-        and _holds(op_j, Axiom.CONSISTENCY)
-        and _certain_of_type(model, j, i, FamilyKind.SIGMA_ATOMS)
-    )
-    for sig in signals:
-        acc.add_instance()
-        if not live or not certain_of(model, i, sig).holds:
-            acc.record(direction, "vacuous")
-            continue
-        acc.implication(
-            direction,
-            True,
-            certain_of(model, j, sig).holds,
-            _signal_text(model, sig),
-        )
-
-
-def _check_certainty_transfer(model: BeliefModel, acc: _Acc) -> None:
-    _transfer_loop(model, acc, "implication", _transfer_signals(model.space))
-
-
-def _check_shared_certainty(model: BeliefModel, acc: _Acc) -> None:
-    i, j, op_i, op_j = _pair(model)
-    gate = (
-        _holds(op_i, Axiom.CONSISTENCY)
-        and _holds(op_j, Axiom.CONSISTENCY)
-        and _commonly_certain_of_profile(model)
-    )
-    for sig in _transfer_signals(model.space):
-        acc.add_instance()
-        if not gate:
-            acc.record("implication", "vacuous")
-            continue
-        acc.implication(
-            "implication",
-            True,
-            certain_of(model, i, sig).holds == certain_of(model, j, sig).holds,
-            _signal_text(model, sig),
-        )
-
-
-def _check_transfer_without_cover(model: BeliefModel, acc: _Acc) -> None:
-    _transfer_loop(model, acc, "observation", _uncovered_signals(model.space))
-
-
 def _check_compatibility_chain(model: BeliefModel, acc: _Acc) -> None:
     p, _ = _single(model)
     acc.add_instance()
@@ -824,30 +662,6 @@ def _own_type_check(
     return check
 
 
-def _cross_type_check(
-    kind: FamilyKind,
-    access: tuple[str, ...],
-    gate: tuple[Axiom, ...] = (),
-    iff: bool = True,
-):
-    """The first player's certainty of the second player's type mapping
-    through `kind` against the named access checks, on observers
-    satisfying the `gate` axioms."""
-
-    def check(model: BeliefModel, acc: _Acc) -> None:
-        i, j, op_i, op_j = _pair(model)
-        acc.add_instance()
-        left = _certain_of_type(model, i, j, kind)
-        right = all(globals()[name](op_i, op_j).holds for name in access)
-        text = _model_text(model)
-        if iff:
-            acc.biconditional(left, right, text, _all_hold(op_i, gate))
-        else:
-            acc.implication("implication", left and _all_hold(op_i, gate), right, text)
-
-    return check
-
-
 def _axiom_implication_check(premise: tuple[Axiom, ...], conclusion: tuple[Axiom, ...]):
     def check(model: BeliefModel, acc: _Acc) -> None:
         _, op = _single(model)
@@ -860,6 +674,261 @@ def _axiom_implication_check(premise: tuple[Axiom, ...], conclusion: tuple[Axiom
         )
 
     return check
+
+
+# Pair claims. Each is a per-operator fact, which reads only that
+# player's operator (its table, the axiom bits the claim is gated on,
+# its type signals, its certainty of a signal battery), and a tally,
+# tally(space, model, facts, acc), which records the instance, or one
+# instance per battery signal, from every player's fact; `model` builds
+# the instance and is called only to render a listing. A fact goes
+# through `_holds` and `_type_signal_of`, so equal sampled draws share
+# work; a tally decides the rest (mutual and common belief, access,
+# certainty) on integer tables.
+
+
+def _pair_text(
+    model: Callable[[], BeliefModel], signals: tuple[Signal, ...] = ()
+) -> Callable[[], str]:
+    # the model is built only when a listing is rendered
+    return lambda: serialize_model(model(), signals=signals)
+
+
+def _kripke_pair(n: int, a: int, b: int) -> BeliefModel:
+    """Instance a * (2^n)^n + b of the exhaustive Kripke pair stream."""
+    return BeliefModel(
+        standard_space(n), {"i": _kripke_op_at(n, a, "i"), "j": _kripke_op_at(n, b, "j")}
+    )
+
+
+def _observer_subject(facts):
+    """The facts of the first player, the observer, and the second."""
+    if len(facts) < 2:
+        raise ValueError("pair claims need a model with at least two players")
+    return facts[0], facts[1]
+
+
+def _certain_on(table: tuple[int, ...], signals: Iterable[Signal]) -> bool:
+    """Is the player or group with this belief table certain of every signal?"""
+    believe = table.__getitem__
+    return not any(any(unbelieved_bits(sig, believe)) for sig in signals)
+
+
+def _mutual_and_common(tables) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    mutual = intersect_tables(tables)
+    return mutual, common_table(mutual)
+
+
+def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
+    """The per-instance check and the sweep of one pair claim, as
+    ClaimSpec keyword arguments.
+
+    The exhaustive Kripke pair stream on n states pairs each of the
+    (2^n)^n operators with each, the second fastest. So the sweep decides
+    every operator's fact once, and tallies instance (a, b) =
+    divmod(index, (2^n)^n) from (facts[a], facts[b]) without building its
+    belief model."""
+
+    def check(model: BeliefModel, acc: _Acc) -> None:
+        facts = [fact(op) for op in model.operators.values()]
+        tally(model.space, lambda: model, facts, acc)
+
+    def sweep(source: ModelSource, lo: int, hi: int, acc: _Acc) -> None:
+        n = source.n_states
+        space = standard_space(n)
+        corr_count = space.size**n
+        facts = [fact(_kripke_op_at(n, k, "i")) for k in range(corr_count)]
+        for index in range(lo, hi):
+            a, b = divmod(index, corr_count)
+            tally(space, partial(_kripke_pair, n, a, b), (facts[a], facts[b]), acc)
+
+    return {"check": check, "sweep": sweep}
+
+
+def _cross_type_claim(
+    kind: FamilyKind,
+    access: tuple[str, ...],
+    gate: tuple[Axiom, ...] = (),
+    iff: bool = True,
+) -> dict[str, Callable]:
+    """The first player's certainty of the second player's type mapping
+    through `kind` against the named access tests on their tables, on
+    observers satisfying the `gate` axioms."""
+
+    def fact(op: BeliefOperator):
+        return op.table(), _type_signal_of(op, kind), _all_hold(op, gate)
+
+    def tally(space, model, facts, acc: _Acc) -> None:
+        (observer, _, gated), (subject, sig, _) = _observer_subject(facts)
+        acc.add_instance()
+        left = _certain_on(observer, (sig,))
+        right = not any(any(globals()[name](observer, subject)) for name in access)
+        text = _pair_text(model)
+        if iff:
+            acc.biconditional(left, right, text, gated)
+        else:
+            acc.implication("implication", left and gated, right, text)
+
+    return _pair_claim(fact, tally)
+
+
+def _truthful_fact(op: BeliefOperator):
+    # None: without the Truth Axiom every instance with this player is vacuous
+    if not _holds(op, Axiom.TRUTH):
+        return None
+    return (
+        op.table(),
+        _type_signal_of(op, FamilyKind.SIGMA_ATOMS),
+        _holds(op, Axiom.NEGATIVE_INTROSPECTION),
+    )
+
+
+def _truthful_tally(space, model, facts, acc: _Acc) -> None:
+    acc.add_instance()
+    if None in facts:
+        acc.vacuous()
+        return
+    tables = [table for table, _, _ in facts]
+    _, common = _mutual_and_common(tables)
+    left = _certain_on(common, [sig for _, sig, _ in facts])
+    # operators are equal exactly when their tables are
+    right = all(a == b for a, b in itertools.combinations(tables, 2)) and all(
+        introspective for _, _, introspective in facts
+    )
+    text = _pair_text(model)
+    acc.biconditional(left, right, text)
+    acc.implication("in-particular", left, left and all(t == common for t in tables), text)
+
+
+def _conjunctive_fact(op: BeliefOperator):
+    # None: an inconsistent or non-conjunctive player makes every
+    # instance with it vacuous
+    if not (_holds(op, Axiom.CONSISTENCY) and _holds(op, Axiom.COUNTABLE_CONJUNCTION)):
+        return None
+    return op.table(), _type_signal_of(op, FamilyKind.SIGMA_ATOMS)
+
+
+def _common_access_tally(space, model, facts, acc: _Acc) -> None:
+    acc.add_instance()
+    if None in facts:
+        acc.vacuous()
+        return
+    tables = [table for table, _ in facts]
+    mutual, common = _mutual_and_common(tables)
+    left = _certain_on(common, [sig for _, sig in facts])
+    right = all(
+        not any(positive_access_bits(common, t)) and not any(negative_access_bits(common, t))
+        for t in tables
+    )
+    text = _pair_text(model)
+    acc.biconditional(left, right, text)
+    acc.implication("in-particular", left, left and common == mutual, text)
+
+
+def _converse_tally(space, model, facts, acc: _Acc) -> None:
+    acc.add_instance()
+    found = None not in facts
+    if found:
+        mutual, common = _mutual_and_common([table for table, _ in facts])
+        found = common == mutual and not _certain_on(common, [sig for _, sig in facts])
+    acc.exists(found, _pair_text(model))
+
+
+def _common_and_iterated(tables) -> list[tuple[int, int]]:
+    """Per event, the common-belief bits and the intersection of the
+    iterated mutual beliefs. The accumulator is nonincreasing and the
+    iterate sequence cycles within 2^n steps, so twice around absorbs
+    the whole cycle."""
+    mutual, common = _mutual_and_common(tables)
+    depth = 2 * len(mutual) + 1
+    return [(c, iterated_mutual_bits(mutual, e, depth)) for e, c in enumerate(common)]
+
+
+def _iteration_fact(op: BeliefOperator):
+    return op.table(), _holds(op, Axiom.COUNTABLE_CONJUNCTION)
+
+
+def _iteration_tally(space, model, facts, acc: _Acc) -> None:
+    acc.add_instance()
+    pairs = _common_and_iterated([table for table, _ in facts])
+    contained = all(not common & ~stab for common, stab in pairs)
+    equal = all(common == stab for common, stab in pairs)
+    text = _pair_text(model)
+    acc.implication("contained-in-iteration", True, contained, text)
+    acc.implication(
+        "equals-at-stabilization", all(conj for _, conj in facts), equal, text
+    )
+
+
+def _iteration_gap_tally(space, model, tables, acc: _Acc) -> None:
+    acc.add_instance()
+    acc.exists(
+        any(
+            common != stab and not common & ~stab
+            for common, stab in _common_and_iterated(tables)
+        ),
+        _pair_text(model),
+    )
+
+
+def _battery_fact(battery: Callable) -> Callable:
+    """Consistency, the table, the type signal on atoms and, per signal
+    of the battery, whether the player is consistent and certain of it
+    (an inconsistent player makes every instance with it vacuous)."""
+
+    def fact(op: BeliefOperator):
+        consistent = _holds(op, Axiom.CONSISTENCY)
+        table = op.table()
+        certain = tuple(
+            consistent and _certain_on(table, (sig,)) for sig in battery(op.space)
+        )
+        return consistent, table, _type_signal_of(op, FamilyKind.SIGMA_ATOMS), certain
+
+    return fact
+
+
+def _transfer_claim(direction: str, battery: Callable) -> dict[str, Callable]:
+    """Certainty of each battery signal passes from the first player to
+    the second, when both are consistent and the second is certain of
+    the first's type mapping on atoms."""
+
+    def tally(space, model, facts, acc: _Acc) -> None:
+        (ok_i, _, sigma_i, certain_i), (ok_j, table_j, _, certain_j) = (
+            _observer_subject(facts)
+        )
+        # an instance is live only where the first player is certain, so
+        # a pair with no such signal is vacuous throughout, and is
+        # recorded at once
+        if not (ok_i and ok_j and any(certain_i) and _certain_on(table_j, (sigma_i,))):
+            acc.add_instance(len(certain_i))
+            acc.vacuous(len(certain_i))
+            return
+        signals = battery(space)
+        for sig, live, transferred in zip(signals, certain_i, certain_j):
+            acc.add_instance()
+            if live:
+                acc.implication(direction, True, transferred, _pair_text(model, (sig,)))
+            else:
+                acc.record(direction, "vacuous")
+
+    return _pair_claim(_battery_fact(battery), tally)
+
+
+def _shared_tally(space, model, facts, acc: _Acc) -> None:
+    """Consistent players commonly certain of the type profile are
+    certain of the same transfer-battery signals."""
+    (ok_i, _, _, certain_i), (ok_j, _, _, certain_j) = _observer_subject(facts)
+    live = ok_i and ok_j
+    if live:
+        _, common = _mutual_and_common([table for _, table, _, _ in facts])
+        live = _certain_on(common, [sigma for _, _, sigma, _ in facts])
+    if not live:
+        acc.add_instance(len(certain_i))
+        acc.vacuous(len(certain_i))
+        return
+    for sig, left, right in zip(_transfer_signals(space), certain_i, certain_j):
+        acc.add_instance()
+        acc.implication("implication", True, left == right, _pair_text(model, (sig,)))
 
 
 # Game claims. Each is a per-player fact, which reads only that
@@ -903,26 +972,27 @@ def _survival_tally(belief: BeliefModel, game: Game, rows, facts, acc: _Acc) -> 
 
 
 def _game_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
-    """The per-instance check and the block check of one game claim, as
+    """The per-instance check and the sweep of one game claim, as
     ClaimSpec keyword arguments.
 
     In pattern game g the first player's ranks depend only on g // 9 and
     the second's only on g % 9, and a block fixes the belief model and
-    the strategies. So the block check decides each player's fact once
-    per own pattern k, on the diagonal game 10 * k, whose two players
-    both have pattern k."""
+    the strategies. So the sweep decides each player's fact once per
+    block and own pattern k, on the diagonal game 10 * k, whose two
+    players both have pattern k."""
 
     def check(gm: GameModel, acc: _Acc) -> None:
         facts = [fact(gm, p) for p in gm.game.players]
         tally(gm.belief, gm.game, gm.strategies, facts, acc)
 
-    def block(belief: BeliefModel, rows, games: range, acc: _Acc) -> None:
-        models = [GameModel(belief, _pattern_game(10 * k), rows) for k in range(9)]
-        first, second = ([fact(gm, p) for gm in models] for p in models[0].game.players)
-        for g in games:
-            tally(belief, _pattern_game(g), rows, (first[g // 9], second[g % 9]), acc)
+    def sweep(source: ModelSource, lo: int, hi: int, acc: _Acc) -> None:
+        for belief, rows, games in _game_blocks(source, lo, hi):
+            models = [GameModel(belief, _pattern_game(10 * k), rows) for k in range(9)]
+            first, second = ([fact(gm, p) for gm in models] for p in models[0].game.players)
+            for g in games:
+                tally(belief, _pattern_game(g), rows, (first[g // 9], second[g % 9]), acc)
 
-    return {"check": check, "block": block}
+    return {"check": check, "sweep": sweep}
 
 
 def _check_beta_not_negbeta_exists(model: BeliefModel, acc: _Acc) -> None:
@@ -958,16 +1028,16 @@ class ClaimSpec:
         "sampled-monotone",
         "from-files",
     )
-    # check(belief, rows, games, acc) of one block of an exhaustive game
-    # sweep, making the calls on acc that `check` makes per instance
-    block: Callable | None = None
+    # sweep(source, lo, hi, acc) of instances [lo, hi) of an exhaustive
+    # source, making the calls on acc that `check` makes per instance
+    sweep: Callable | None = None
 
 
 _IFF = ("forward", "backward")
 _INTROSPECTION = (Axiom.POSITIVE_INTROSPECTION, Axiom.NEGATIVE_INTROSPECTION)
 _CONJUNCTIVE = (Axiom.CONSISTENCY, Axiom.COUNTABLE_CONJUNCTION)
 _TRUTH_NI = (Axiom.TRUTH, Axiom.NEGATIVE_INTROSPECTION)
-_ACCESS = ("positive_access", "negative_access")
+_ACCESS = ("positive_access_bits", "negative_access_bits")
 _GAME_MODES = ("exhaustive-games", "sampled-monotone", "from-files")
 
 _CLAIMS = (
@@ -1031,7 +1101,7 @@ _CLAIMS = (
         "certainty of another player's believed-event sets is "
         "equivalent to believing everything they believe",
         _IFF,
-        _cross_type_check(FamilyKind.BETA, ("positive_access",)),
+        **_cross_type_claim(FamilyKind.BETA, ("positive_access_bits",)),
     ),
     ClaimSpec(
         "cross-negbeta-certainty-iff-negative-access",
@@ -1041,7 +1111,7 @@ _CLAIMS = (
         "certainty of another player's unbelieved-event sets is "
         "equivalent to believing everything they fail to believe",
         _IFF,
-        _cross_type_check(FamilyKind.NEG_BETA, ("negative_access",)),
+        **_cross_type_claim(FamilyKind.NEG_BETA, ("negative_access_bits",)),
     ),
     ClaimSpec(
         "cross-type-certainty-implies-access",
@@ -1051,7 +1121,7 @@ _CLAIMS = (
         "certainty of another player's type mapping on atoms implies "
         "both access properties",
         ("implication",),
-        _cross_type_check(FamilyKind.SIGMA_ATOMS, _ACCESS, iff=False),
+        **_cross_type_claim(FamilyKind.SIGMA_ATOMS, _ACCESS, iff=False),
     ),
     ClaimSpec(
         "truthful-cross-type-certainty-iff-access",
@@ -1061,7 +1131,7 @@ _CLAIMS = (
         "under the observer's Truth Axiom, certainty of another "
         "player's type mapping is equivalent to both access properties",
         _IFF,
-        _cross_type_check(FamilyKind.SIGMA_ATOMS, _ACCESS, gate=(Axiom.TRUTH,)),
+        **_cross_type_claim(FamilyKind.SIGMA_ATOMS, _ACCESS, gate=(Axiom.TRUTH,)),
     ),
     ClaimSpec(
         "consistent-conjunctive-cross-type-certainty-iff-access",
@@ -1072,7 +1142,7 @@ _CLAIMS = (
         "certainty of another player's type mapping is equivalent to "
         "both access properties",
         _IFF,
-        _cross_type_check(FamilyKind.SIGMA_ATOMS, _ACCESS, gate=_CONJUNCTIVE),
+        **_cross_type_claim(FamilyKind.SIGMA_ATOMS, _ACCESS, gate=_CONJUNCTIVE),
     ),
     ClaimSpec(
         "truthful-common-type-certainty-iff-shared-introspective-beliefs",
@@ -1083,7 +1153,7 @@ _CLAIMS = (
         "profile is equivalent to identical, negatively introspective "
         "operators; each then equals the common operator",
         ("forward", "backward", "in-particular"),
-        _check_thm1_truthful,
+        **_pair_claim(_truthful_fact, _truthful_tally),
     ),
     ClaimSpec(
         "conjunctive-common-type-certainty-iff-common-access",
@@ -1094,7 +1164,7 @@ _CLAIMS = (
         "certainty of the type profile is equivalent to common-belief "
         "access to every operator; common then equals mutual belief",
         ("forward", "backward", "in-particular"),
-        _check_thm1_conjunctive,
+        **_pair_claim(_conjunctive_fact, _common_access_tally),
     ),
     ClaimSpec(
         "common-access-without-common-type-certainty-exists",
@@ -1104,7 +1174,7 @@ _CLAIMS = (
         "common belief can equal mutual belief without the players "
         "being commonly certain of the type profile",
         ("witness",),
-        _check_thm1_converse_fails,
+        **_pair_claim(_conjunctive_fact, _converse_tally),
     ),
     ClaimSpec(
         "certainty-transfers-through-type-certainty",
@@ -1115,7 +1185,7 @@ _CLAIMS = (
         "certainty of a signal passes to whoever is certain of the "
         "certain player's type mapping",
         ("implication",),
-        _check_certainty_transfer,
+        **_transfer_claim("implication", _transfer_signals),
     ),
     ClaimSpec(
         "common-type-certainty-shares-signal-certainty",
@@ -1126,7 +1196,7 @@ _CLAIMS = (
         "signal certainty is shared: one player is certain exactly when "
         "the other is",
         ("implication",),
-        _check_shared_certainty,
+        **_pair_claim(_battery_fact(_transfer_signals), _shared_tally),
     ),
     ClaimSpec(
         "complement-cover-condition-is-needed",
@@ -1137,7 +1207,7 @@ _CLAIMS = (
         "transfer conclusion can fail; failures are recorded, not "
         "asserted",
         ("observation",),
-        _check_transfer_without_cover,
+        **_transfer_claim("observation", _uncovered_signals),
     ),
     ClaimSpec(
         "own-upward-certainty-implies-compatibility",
@@ -1293,7 +1363,7 @@ _CLAIMS = (
         "mutual-belief intersection and equals it for conjunctive "
         "players",
         ("contained-in-iteration", "equals-at-stabilization"),
-        _check_common_vs_iteration,
+        **_pair_claim(_iteration_fact, _iteration_tally),
     ),
     ClaimSpec(
         "strictly-finer-common-belief-exists",
@@ -1303,7 +1373,7 @@ _CLAIMS = (
         "without conjunction the common-belief fixed point can be "
         "strictly below the iterated intersection",
         ("witness",),
-        _check_iteration_gap_exists,
+        **_pair_claim(lambda op: op.table(), _iteration_gap_tally),
     ),
     ClaimSpec(
         "beta-certainty-without-negbeta-certainty-exists",
@@ -1344,9 +1414,8 @@ def resolve_claim(claim: str) -> ClaimSpec:
 def _run_range(claim_id: str, source: ModelSource, lo: int, hi: int, cap: int) -> _Acc:
     spec = resolve_claim(claim_id)
     acc = _Acc(spec.directions, cap)
-    if source.mode == "exhaustive-games":
-        for belief, rows, games in _game_blocks(source, lo, hi):
-            spec.block(belief, rows, games, acc)
+    if spec.sweep is not None and source.mode in _SWEPT_MODES:
+        spec.sweep(source, lo, hi, acc)
     else:
         for instance in _instances(spec.arena, source, lo, hi):
             spec.check(instance, acc)

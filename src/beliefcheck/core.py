@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import and_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 TABLE_LIMIT = 16
@@ -667,6 +668,21 @@ def common_belief_bits(mutual: Sequence[int], event_bits: int, full: int) -> int
         x = nxt
 
 
+def common_table(mutual: Sequence[int]) -> tuple[int, ...]:
+    """Common-belief image of every event, from the mutual-belief table."""
+    full = len(mutual) - 1
+    return tuple(common_belief_bits(mutual, e, full) for e in range(len(mutual)))
+
+
+def intersect_tables(tables: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Pointwise intersection of event tables: the mutual-belief table."""
+    tables = iter(tables)
+    out = tuple(next(tables))
+    for table in tables:
+        out = tuple(map(and_, out, table))
+    return out
+
+
 def iterated_mutual_bits(mutual: Sequence[int], event_bits: int, depth: int) -> int:
     """Intersection of the first `depth` iterates of mutual belief."""
     cur = mutual[event_bits]
@@ -721,10 +737,7 @@ class BeliefModel:
     def mutual_table(self) -> tuple[int, ...]:
         """Pointwise intersection of all players' tables, cached."""
         if self._mutual is None:
-            tables = [op.table() for op in self._operators]
-            mutual = tuple(
-                _intersect_all(images) for images in zip(*tables)
-            )
+            mutual = intersect_tables(op.table() for op in self._operators)
             object.__setattr__(self, "_mutual", mutual)
         return self._mutual
 
@@ -747,12 +760,7 @@ class BeliefModel:
 
     def common_operator(self) -> BeliefOperator:
         """Common belief packaged as an operator (monotone, so admissible)."""
-        mutual = self.mutual_table()
-        full = self.space.size - 1
-        table = tuple(
-            common_belief_bits(mutual, e, full) for e in range(self.space.size)
-        )
-        return BeliefOperator(self.space, _table=table)
+        return BeliefOperator(self.space, _table=common_table(self.mutual_table()))
 
     def common_belief(self, event: Event) -> Event:
         """Union of the publicly evident events inside mutual belief of event."""
@@ -793,13 +801,6 @@ class _MutualView:
         for op in self._operators:
             out &= op.apply_bits(bits)
         return out
-
-
-def _intersect_all(values: Iterable[int]) -> int:
-    out = -1
-    for v in values:
-        out &= v
-    return out
 
 
 def operator_leq(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     TABLE_LIMIT,
@@ -307,11 +307,17 @@ def positive_access(
         name = "B_subject <= B_observer B_subject"
     if observer_op.space != subject_op.space:
         raise ValueError("operators on different state spaces")
-    obs = observer_op.table()
-    witness = _first_failure(
-        observer_op.space, (img & ~obs[img] for img in subject_op.table())
-    )
+    failures = positive_access_bits(observer_op.table(), subject_op.table())
+    witness = _first_failure(observer_op.space, failures)
     return CheckReport(name, witness is None, witness)
+
+
+def positive_access_bits(
+    observer: Sequence[int], subject: Sequence[int]
+) -> Iterator[int]:
+    """Per event, on the two players' tables, the states where the
+    subject believes it but the observer does not believe they do."""
+    return (img & ~observer[img] for img in subject)
 
 
 def negative_access(
@@ -324,11 +330,20 @@ def negative_access(
         name = "notB_subject <= B_observer notB_subject"
     if observer_op.space != subject_op.space:
         raise ValueError("operators on different state spaces")
-    full = observer_op.space.size - 1
-    obs = observer_op.table()
-    outside = (full & ~img for img in subject_op.table())
-    witness = _first_failure(observer_op.space, (out & ~obs[out] for out in outside))
+    failures = negative_access_bits(observer_op.table(), subject_op.table())
+    witness = _first_failure(observer_op.space, failures)
     return CheckReport(name, witness is None, witness)
+
+
+def negative_access_bits(
+    observer: Sequence[int], subject: Sequence[int]
+) -> Iterator[int]:
+    """Per event, on the two players' tables, the states where the
+    subject fails to believe it but the observer does not believe they
+    fail."""
+    full = len(subject) - 1
+    outside = (full & ~img for img in subject)
+    return (out & ~observer[out] for out in outside)
 
 
 def meta_certainty_report(model: BeliefModel) -> MetaCertaintyReport:

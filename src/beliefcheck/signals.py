@@ -163,14 +163,21 @@ def _common_belief_map(model: BeliefModel) -> Callable[[int], int]:
     return lambda bits: common_belief_bits(mutual, bits, full)
 
 
+def unbelieved_bits(signal: Signal, believe: Callable[[int], int]) -> list[int]:
+    """Per family member, the states of its preimage outside the believed
+    image of that preimage; all zero exactly when the signal is certain.
+
+    `believe` maps an event mask to its believed image, for example a
+    table's `__getitem__`. Every certainty verdict is decided here."""
+    return [pre & ~believe(pre) for pre in signal._preimage_masks()]
+
+
 def _unbelieved(
     model: BeliefModel, signal: Signal, believe: Callable[[int], int]
 ) -> list[int]:
-    """Per family member, the states of its preimage outside the believed
-    image of that preimage; all zero exactly when the signal is certain."""
     if signal.space != model.space:
         raise ValueError("signal on a different state space")
-    return [pre & ~believe(pre) for pre in signal._preimage_masks()]
+    return unbelieved_bits(signal, believe)
 
 
 def _certain_at(model, signal, state, believe) -> bool:

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import types
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,6 @@ from beliefcheck.audit import (
     sample_monotone_operators,
     standard_space,
     _CLAIMS,
-    _check_iteration_gap_exists,
     _game_blocks,
     _instance_count,
     _instances,
@@ -108,8 +108,8 @@ class TestModelSource:
         limit = f"capped at {_GAME_PROFILE_LIMIT} action profiles"
         with pytest.raises(ValueError, match=limit):
             audit("thm2", src)
-        # operator and pair claims never build a game
-        assert _instance_count("pair", src) == 1
+        # operator claims never build a game
+        assert _instance_count("operator", src) == 1
 
     @pytest.mark.parametrize(
         "players,actions", [(12, 2), (6, 4), (4, 8), (3, 10), (10**9, 1)]
@@ -129,11 +129,32 @@ class TestModelSource:
         )
         with pytest.raises(ValueError, match="capped at 10 actions per player"):
             audit("thm2", src)
-        assert _instance_count("pair", src) == 1
+        assert _instance_count("operator", src) == 1
 
     def test_sampled_needs_count(self):
         with pytest.raises(ValueError, match="positive count"):
             ModelSource(mode="sampled-monotone", count=0)
+
+    @pytest.mark.parametrize(
+        "mode,players,count",
+        [
+            ("exhaustive-kripke", 1, 0),
+            ("sampled-monotone", 1, 10**12),
+            ("sampled-monotone", 5, 10**12),
+        ],
+    )
+    def test_pair_claims_take_two_players(self, monkeypatch, mode, players, count):
+        # generated pairs always have players i and j, so any other count
+        # would be reported but not audited; it is refused before a draw
+        def no_draw(*args):
+            raise AssertionError("drew an operator")
+
+        monkeypatch.setattr("beliefcheck.audit._draw_operator", no_draw)
+        src = ModelSource(mode=mode, n_states=1, n_players=players, count=count)
+        for claim in ("thm1-2", "prop4-1a", "remark1-1a"):
+            with pytest.raises(ValueError, match="pair claims take exactly 2 players"):
+                audit(claim, src)
+        assert _instance_count("operator", src) == (count or 2)
 
 
 class TestEnumeration:
@@ -215,7 +236,16 @@ class TestRegistry:
         # by one
         games = [s for s in _CLAIMS if "exhaustive-games" in s.modes]
         assert len(games) == 4
-        assert all(s.block is not None for s in games)
+        assert all(s.sweep is not None for s in games)
+
+    def test_exhaustive_pair_claims_are_swept_from_operator_facts(self):
+        # without a sweep built from per-operator facts, a three-state
+        # pair sweep would build all 262,144 belief models one by one
+        pairs = [s for s in _CLAIMS if s.arena == "pair" and "exhaustive-kripke" in s.modes]
+        assert len(pairs) == 13
+        for spec in pairs:
+            assert spec.check.__qualname__ == "_pair_claim.<locals>.check"
+            assert spec.sweep.__qualname__ == "_pair_claim.<locals>.sweep"
 
     def test_game_claims_skip_operator_sweeps(self):
         for alias in ("thm2", "epistemic-iesda"):
@@ -435,6 +465,117 @@ class TestGameBlocks:
         assert one == two
 
 
+PAIR_CLAIMS = tuple(
+    spec.canonical
+    for spec in _CLAIMS
+    if spec.arena == "pair" and "exhaustive-kripke" in spec.modes
+)
+# Slices of the three-state pair stream, pair (a, b) at index 512 * a + b.
+# The second and fourth cross from one first operator to the next, the
+# third crosses the middle of the stream; the first and last hold the
+# first and last operator pairs.
+PAIR_SLICES = ((0, 40), (500, 530), (131_060, 131_100), (262_100, 262_144))
+
+
+def _pair_reference(claim, source, lo, hi, cap):
+    """The per-instance check on every model of the pair stream."""
+    spec = resolve_claim(claim)
+    acc = _Acc(spec.directions, cap)
+    for model in _instances("pair", source, lo, hi):
+        spec.check(model, acc)
+    return _accumulated(acc)
+
+
+@pytest.fixture
+def forced_pair_facts(monkeypatch):
+    """Flip, as a function of their inputs alone, about one in five axiom
+    verdicts, one in four certainty verdicts and one in six iterated
+    mutual beliefs, so that every pair claim fails or finds witnesses.
+    Tuples of ints hash the same in every process."""
+    import beliefcheck.audit as audit_module
+
+    holds = audit_module._holds
+    unbelieved = audit_module.unbelieved_bits
+    iterated = audit_module.iterated_mutual_bits
+
+    def forced_holds(op, axiom):
+        return holds(op, axiom) != (hash((op.table(), tuple(Axiom).index(axiom))) % 5 == 0)
+
+    def forced_unbelieved(signal, believe):
+        bits = unbelieved(signal, believe)
+        if hash((believe.__self__, signal._preimage_masks())) % 4 == 0:
+            return [0] * len(bits) if any(bits) else [1]
+        return bits
+
+    def forced_iterated(mutual, event_bits, depth):
+        bits = iterated(mutual, event_bits, depth)
+        return bits ^ 1 if hash((mutual, event_bits)) % 6 == 0 else bits
+
+    monkeypatch.setattr(audit_module, "_holds", forced_holds)
+    monkeypatch.setattr(audit_module, "unbelieved_bits", forced_unbelieved)
+    monkeypatch.setattr(audit_module, "iterated_mutual_bits", forced_iterated)
+
+
+class TestPairSweeps:
+    SRC = ModelSource(mode="exhaustive-kripke", n_states=3)
+
+    @pytest.mark.parametrize("claim", PAIR_CLAIMS)
+    @pytest.mark.parametrize("lo,hi", PAIR_SLICES)
+    def test_sweep_matches_per_instance(self, claim, lo, hi):
+        assert _blocked(claim, self.SRC, lo, hi, 5) == _pair_reference(
+            claim, self.SRC, lo, hi, 5
+        )
+
+    @pytest.mark.parametrize("cap", [0, 3, 40])
+    @pytest.mark.parametrize("claim", PAIR_CLAIMS)
+    def test_forced_failures_list_alike(self, forced_pair_facts, claim, cap):
+        for lo, hi in PAIR_SLICES:
+            swept = _blocked(claim, self.SRC, lo, hi, cap)
+            assert swept == _pair_reference(claim, self.SRC, lo, hi, cap), (lo, hi)
+        found = swept["violations_total"] + swept["counterexamples_total"]
+        assert found > 0
+        listed = swept["violations"] + swept["counterexamples"]
+        assert len(listed) == min(cap, found)
+
+    @pytest.mark.parametrize("claim,battery", [("thm1-2", None), ("prop4-1a", _transfer_signals)])
+    def test_forced_witness_is_the_failing_instance(self, forced_pair_facts, claim, battery):
+        lo, hi = PAIR_SLICES[-1]
+        listed = _blocked(claim, self.SRC, lo, hi, 1)["violations"]
+        spec = resolve_claim(claim)
+        for model in _instances("pair", self.SRC, lo, hi):
+            acc = _Acc(spec.directions, cap=0)
+            spec.check(model, acc)
+            if acc.violations_total:
+                break
+        else:
+            pytest.fail("no forced violation in the slice")
+        if battery is None:
+            assert listed == [serialize_model(model)]
+        else:
+            texts = [serialize_model(model, signals=(sig,)) for sig in battery(model.space)]
+            assert listed[0] in texts
+        assert parse_model_spec(listed[0]).belief_model() == model
+
+    def test_vacuous_pairs_record_nothing_one_by_one(self, monkeypatch):
+        # the first operator believes every event everywhere, so it is
+        # inconsistent and each of its 512 pairs is vacuous for all ten
+        # transfer signals
+        calls = []
+        record = _Acc.record
+        monkeypatch.setattr(
+            _Acc, "record", lambda self, *args: calls.append(args) or record(self, *args)
+        )
+        acc = _run_range("prop4-1a", self.SRC, 0, 512, 5)
+        assert acc.instances == acc.tallies["implication"][0] == 5120
+        assert calls == []
+
+    @pytest.mark.parametrize("claim", ["prop4-1a", "thm1-2-converse-fails"])
+    def test_parallel_sweep_matches_inline(self, claim):
+        one = json.dumps(audit(claim, self.SRC, jobs=1).to_dict())
+        two = json.dumps(audit(claim, self.SRC, jobs=2).to_dict())
+        assert one == two
+
+
 class TestExistenceClaims:
     def test_converse_failure_witnesses(self):
         result = audit(
@@ -486,7 +627,7 @@ class TestExistenceClaims:
         ]
         assert gaps == [0b011, 0b101, 0b110]
         acc = _Acc(("witness",), cap=5)
-        _check_iteration_gap_exists(model, acc)
+        resolve_claim("strict-iteration-gap").check(model, acc)
         assert acc.counterexamples_total == 1
         reparsed = parse_model_spec(acc.counterexamples[0])
         assert reparsed.belief_model().operator("i").table() == model.operator("i").table()
@@ -791,6 +932,43 @@ class TestExhaustiveGameDigests:
         result = audit(claim, ModelSource(mode="exhaustive-games"))
         text = json.dumps(result.to_dict(), sort_keys=True, ensure_ascii=False)
         assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_GAME_DIGESTS[claim]
+
+
+# SHA-256 of the sorted JSON report of each pair claim on every
+# three-state Kripke pair, recorded with the per-instance checks before
+# the sweep was decided from per-operator facts. The thm1-2 and prop4-1a
+# digests are the benchmark's references for the pairs-exhaustive sweep.
+EXHAUSTIVE_KRIPKE_DIGESTS = {
+    "cross-beta-certainty-iff-positive-access": "1528e5cb5c18eb8ee42ad4ecd0b2f54f7716d61b61cf3085ad8d36c5303ee673",
+    "cross-negbeta-certainty-iff-negative-access": "b5f39488e0fe5a39a5740325236e85aa57975305ff7269e48707b45ad533180f",
+    "cross-type-certainty-implies-access": "472c21c4a06b98caf0e325dd8fdbb362420b938dbc00f253ac03257ccf67ff91",
+    "truthful-cross-type-certainty-iff-access": "32b1d9b13ed40a37122d05d38ded1cd050c1061fe9fc0c8aa3517d2a252e5311",
+    "consistent-conjunctive-cross-type-certainty-iff-access": "639e3ac64bb54ba04ec0917fd419060ad46fe027d62ecbfc1d50fd498fe3f8db",
+    "truthful-common-type-certainty-iff-shared-introspective-beliefs": "2168a06846d9076dff467aece0bd06e6a2a9ee2c245eacd9f6e09795b2328d7e",
+    "conjunctive-common-type-certainty-iff-common-access": "91f98fc91364801215ff8c2d491677b0fa8e6854d4e0ab5d175973728b5fa2f6",
+    "common-access-without-common-type-certainty-exists": "5bed4b964a2dcc92091e94369054908328cbcac3ce9b8d8c056e35e9f33ba9cc",
+    "certainty-transfers-through-type-certainty": "95a21a619de313b3349b776237c85daba2ac3cd96b4618875b6be6347427a399",
+    "common-type-certainty-shares-signal-certainty": "090dca6886a06a7984b6416b7a397516157324dcbe184c64b71531dc0499471d",
+    "complement-cover-condition-is-needed": "b26960543cc8ca8ccf154874549ab0dc5850d25f6b7d02d90c8fcc7690763220",
+    "common-belief-matches-iteration": "301f28a5156abae065ca326890c15eddd0b6248f889a534c6e4a683f48758635",
+    "strictly-finer-common-belief-exists": "57fdf6d0fe9906ac0f1e8f6f0ba3825389f79e72125fc921ef2a095eadf1f01b",
+}
+
+
+class TestExhaustiveKripkeDigests:
+    def test_every_pair_claim_is_pinned(self):
+        assert set(EXHAUSTIVE_KRIPKE_DIGESTS) == set(PAIR_CLAIMS)
+        references = json.loads(
+            (Path(__file__).parent.parent / "perfbench" / "references.json").read_text()
+        )["pairs-exhaustive"]
+        for alias, digest in references.items():
+            assert EXHAUSTIVE_KRIPKE_DIGESTS[resolve_claim(alias).canonical] == digest
+
+    @pytest.mark.parametrize("claim", sorted(EXHAUSTIVE_KRIPKE_DIGESTS))
+    def test_report_is_unchanged(self, claim):
+        result = audit(claim, ModelSource(mode="exhaustive-kripke", n_states=3))
+        text = json.dumps(result.to_dict(), sort_keys=True, ensure_ascii=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_KRIPKE_DIGESTS[claim]
 
 
 class TestCalleesResolvedAtCallTime:

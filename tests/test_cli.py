@@ -238,6 +238,24 @@ class TestAudit:
         assert out == ""
         assert "2 states, 2 players, 2 actions" in err
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ("--mode", "exhaustive", "--states", "1", "--players", "1"),
+            ("--mode", "sampled", "--count", "3", "--players", "1"),
+            ("--mode", "sampled", "--count", "3", "--players", "5"),
+        ],
+    )
+    def test_pair_claim_player_count_is_input_error(self, capsys, source):
+        # pair sweeps audit two-player models only; another count would
+        # be reported over instances that do not have it
+        code, out, err = run(
+            capsys, "--format", "json", "audit", "--claim", "thm1-2", *source,
+        )
+        assert code == 2
+        assert out == ""
+        assert "pair claims take exactly 2 players" in err
+
     def test_sampled_game_profile_limit_is_input_error(self, capsys):
         code, out, err = run(
             capsys, "audit", "--claim", "thm2", "--mode", "sampled", "--states", "2",
