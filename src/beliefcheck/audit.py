@@ -37,6 +37,7 @@ from .core import (
     ImplicationStatus,
     PossibilityCorrespondence,
     StateSpace,
+    TABLE_LIMIT,
     common_table,
     correspondence_property,
     intersect_tables,
@@ -421,6 +422,12 @@ class _Acc:
         for d in self.order:
             self.tallies[d][0] += count
 
+    def count(self, direction: str, vacuous: int, confirmed: int) -> None:
+        """Record violation-free outcomes of one direction by count."""
+        tally = self.tallies[direction]
+        tally[0] += vacuous
+        tally[1] += confirmed
+
     def exists(self, found: bool, text) -> None:
         """Record the witness direction, listing the witness when found."""
         self.record("witness", "confirmed" if found else "vacuous")
@@ -719,7 +726,9 @@ def _mutual_and_common(tables) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return mutual, common_table(mutual)
 
 
-def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
+def _pair_claim(
+    fact: Callable, tally: Callable, memo: bool = False
+) -> dict[str, Callable]:
     """The per-instance check and the sweep of one pair claim, as
     ClaimSpec keyword arguments.
 
@@ -727,7 +736,9 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
     (2^n)^n operators with each, the second fastest. So the sweep decides
     every operator's fact once, and tallies instance (a, b) =
     divmod(index, (2^n)^n) from (facts[a], facts[b]) without building its
-    belief model."""
+    belief model. With `memo`, the sweep passes the tally a fresh dict as
+    `memo`. It lives for one sweep call, so that a rebound callee is seen
+    by the next call."""
 
     def check(model: BeliefModel, acc: _Acc) -> None:
         facts = [fact(op) for op in model.operators.values()]
@@ -738,9 +749,10 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
         space = standard_space(n)
         corr_count = space.size**n
         facts = [fact(_kripke_op_at(n, k, "i")) for k in range(corr_count)]
+        run = partial(tally, memo={}) if memo else tally
         for index in range(lo, hi):
             a, b = divmod(index, corr_count)
-            tally(space, partial(_kripke_pair, n, a, b), (facts[a], facts[b]), acc)
+            run(space, partial(_kripke_pair, n, a, b), (facts[a], facts[b]), acc)
 
     return {"check": check, "sweep": sweep}
 
@@ -834,23 +846,30 @@ def _converse_tally(space, model, facts, acc: _Acc) -> None:
     acc.exists(found, _pair_text(model))
 
 
-def _common_and_iterated(tables) -> list[tuple[int, int]]:
+def _common_and_iterated(tables, memo: dict | None = None) -> list[tuple[int, int]]:
     """Per event, the common-belief bits and the intersection of the
     iterated mutual beliefs. The accumulator is nonincreasing and the
     iterate sequence cycles within 2^n steps, so twice around absorbs
-    the whole cycle."""
-    mutual, common = _mutual_and_common(tables)
-    depth = 2 * len(mutual) + 1
-    return [(c, iterated_mutual_bits(mutual, e, depth)) for e, c in enumerate(common)]
+    the whole cycle. Both depend only on the mutual table, so a sweep's
+    memo decides each distinct one once: at most 512 on three states."""
+    mutual = intersect_tables(tables)
+    memo = {} if memo is None else memo
+    if mutual not in memo:
+        depth = 2 * len(mutual) + 1
+        memo[mutual] = [
+            (c, iterated_mutual_bits(mutual, e, depth))
+            for e, c in enumerate(common_table(mutual))
+        ]
+    return memo[mutual]
 
 
 def _iteration_fact(op: BeliefOperator):
     return op.table(), _holds(op, Axiom.COUNTABLE_CONJUNCTION)
 
 
-def _iteration_tally(space, model, facts, acc: _Acc) -> None:
+def _iteration_tally(space, model, facts, acc: _Acc, memo=None) -> None:
     acc.add_instance()
-    pairs = _common_and_iterated([table for table, _ in facts])
+    pairs = _common_and_iterated([table for table, _ in facts], memo)
     contained = all(not common & ~stab for common, stab in pairs)
     equal = all(common == stab for common, stab in pairs)
     text = _pair_text(model)
@@ -860,12 +879,12 @@ def _iteration_tally(space, model, facts, acc: _Acc) -> None:
     )
 
 
-def _iteration_gap_tally(space, model, tables, acc: _Acc) -> None:
+def _iteration_gap_tally(space, model, tables, acc: _Acc, memo=None) -> None:
     acc.add_instance()
     acc.exists(
         any(
             common != stab and not common & ~stab
-            for common, stab in _common_and_iterated(tables)
+            for common, stab in _common_and_iterated(tables, memo)
         ),
         _pair_text(model),
     )
@@ -933,7 +952,9 @@ def _shared_tally(space, model, facts, acc: _Acc) -> None:
 
 # Game claims. Each is a per-player fact, which reads only that
 # player's operator, the strategy rows and the player's own ranks, and a
-# tally, which records one instance from every player's fact.
+# tally, which records one instance from every player's fact. A tally
+# records an instance without a violation by count, and builds its
+# listing and walks its states only when something is violated.
 
 
 def _chain_fact(chain: str) -> Callable:
@@ -943,6 +964,10 @@ def _chain_fact(chain: str) -> Callable:
 
 def _chain_tally(belief: BeliefModel, game: Game, rows, facts, acc: _Acc) -> None:
     acc.add_instance()
+    if ImplicationStatus.VIOLATED not in facts:
+        confirmed = facts.count(ImplicationStatus.CONFIRMED)
+        acc.count("implication", len(facts) - confirmed, confirmed)
+        return
     text = _game_text(belief, game, rows)
     for status in facts:
         acc.record("implication", status, text)
@@ -950,22 +975,34 @@ def _chain_tally(belief: BeliefModel, game: Game, rows, facts, acc: _Acc) -> Non
 
 def _rationality_fact(gm: GameModel, p: str) -> tuple[bool, int]:
     """Whether p correctly believes own rationality, and the states where
-    that rationality is commonly believed."""
-    rat = rationality_event(gm, p)
-    correct = not gm.belief.operator(p).apply_bits(rat.bits) & ~rat.bits
-    return correct, gm.belief.common_belief(rat).bits
+    p is rational."""
+    rat = rationality_event(gm, p).bits
+    return not gm.belief.operator(p).apply_bits(rat) & ~rat, rat
+
+
+def _common_bits(belief: BeliefModel, bits: int) -> int:
+    """Common belief of an event, from the model's cached table where
+    the space is small enough to have one."""
+    if belief.space.n > TABLE_LIMIT:
+        return belief.common_belief(belief.space.event_from_bits(bits)).bits
+    return belief.common_table()[bits]
 
 
 def _survival_tally(belief: BeliefModel, game: Game, rows, facts, acc: _Acc) -> None:
     # status-equivalent to epistemic_iesda_verdict at every state
     acc.add_instance()
-    premise = belief.space.size - 1
-    for correct, common in facts:
-        premise &= common if correct else 0
+    n = len(rows[0])  # a strategy row holds one action per state
+    premise = (1 << n) - 1
+    for correct, rat in facts:
+        premise &= _common_bits(belief, rat) if correct else 0
     # without a live premise every state is vacuous, whatever survives
     survived = premise and survival_bits(game, rows, maximal_trace(game))
+    if not premise & ~survived:
+        live = premise.bit_count()
+        acc.count("implication", n - live, live)
+        return
     text = _game_text(belief, game, rows)
-    for k in range(belief.space.n):
+    for k in range(n):
         acc.implication(
             "implication", bool(premise >> k & 1), bool(survived >> k & 1), text
         )
@@ -977,18 +1014,32 @@ def _game_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
 
     In pattern game g the first player's ranks depend only on g // 9 and
     the second's only on g % 9, and a block fixes the belief model and
-    the strategies. So the sweep decides each player's fact once per
-    block and own pattern k, on the diagonal game 10 * k, whose two
-    players both have pattern k."""
+    the strategies. A fact reads only the player's own operator, so the
+    sweep decides the nine facts of a player, own operator table and
+    strategy rows once, one per own pattern k on the diagonal game
+    10 * k, whose two players both have pattern k: 2 * 16 * 16 * 9 =
+    4,608 facts on two states. The memo lives for one sweep call, so a
+    rebound callee is seen by the next call."""
 
     def check(gm: GameModel, acc: _Acc) -> None:
         facts = [fact(gm, p) for p in gm.game.players]
         tally(gm.belief, gm.game, gm.strategies, facts, acc)
 
     def sweep(source: ModelSource, lo: int, hi: int, acc: _Acc) -> None:
+        players = _pattern_game(0).players
+        memo = {}
+
+        def own_facts(belief: BeliefModel, rows, idx: int) -> list:
+            p = players[idx]
+            key = (idx, belief.operator(p).table(), rows)
+            if key not in memo:
+                memo[key] = [
+                    fact(GameModel(belief, _pattern_game(10 * k), rows), p) for k in range(9)
+                ]
+            return memo[key]
+
         for belief, rows, games in _game_blocks(source, lo, hi):
-            models = [GameModel(belief, _pattern_game(10 * k), rows) for k in range(9)]
-            first, second = ([fact(gm, p) for gm in models] for p in models[0].game.players)
+            first, second = own_facts(belief, rows, 0), own_facts(belief, rows, 1)
             for g in games:
                 tally(belief, _pattern_game(g), rows, (first[g // 9], second[g % 9]), acc)
 
@@ -1363,7 +1414,7 @@ _CLAIMS = (
         "mutual-belief intersection and equals it for conjunctive "
         "players",
         ("contained-in-iteration", "equals-at-stabilization"),
-        **_pair_claim(_iteration_fact, _iteration_tally),
+        **_pair_claim(_iteration_fact, _iteration_tally, memo=True),
     ),
     ClaimSpec(
         "strictly-finer-common-belief-exists",
@@ -1373,7 +1424,7 @@ _CLAIMS = (
         "without conjunction the common-belief fixed point can be "
         "strictly below the iterated intersection",
         ("witness",),
-        **_pair_claim(lambda op: op.table(), _iteration_gap_tally),
+        **_pair_claim(lambda op: op.table(), _iteration_gap_tally, memo=True),
     ),
     ClaimSpec(
         "beta-certainty-without-negbeta-certainty-exists",

@@ -234,12 +234,6 @@ def certain_of_profile(
     return certain_of(model, player, product_signal(signals, name="profile"))
 
 
-def commonly_certain_of_profile(
-    model: BeliefModel, signals: Sequence[Signal]
-) -> CertaintyReport:
-    return commonly_certain_of(model, product_signal(signals, name="profile"))
-
-
 def partition_measurability_check(
     model: BeliefModel, player: str, signal: Signal
 ) -> CertaintyReport:

@@ -22,7 +22,9 @@ from beliefcheck.audit import (
     _game_blocks,
     _instance_count,
     _instances,
+    _pair_model,
     _pattern_game,
+    _rationality_fact,
     _run_range,
     _sampled_game,
     _worker_count,
@@ -39,14 +41,19 @@ from beliefcheck.core import (
     FrameProperty,
     ImplicationStatus,
     PossibilityCorrespondence,
+    StateSpace,
+    TABLE_LIMIT,
     correspondence_property,
+    intersect_tables,
     iterated_mutual_bits,
 )
 from beliefcheck.dsl import parse_model_spec, serialize_model
 from beliefcheck.games import (
     EliminationTrace,
+    GameModel,
     correct_belief_chain,
     epistemic_iesda_verdict,
+    rationality_event,
 )
 import random
 
@@ -325,6 +332,29 @@ class TestGameSweeps:
                 expect[_STATUS_INDEX[status.value]] += 1
             assert acc.tallies["implication"] == expect
 
+    def test_epistemic_check_runs_above_the_table_limit(self):
+        # no event tables exist, so common belief is decided per event.
+        # p1 knows the state and plays the dominated action b at the
+        # first 8 states; p2 sees pairs of states and plays a everywhere,
+        # so p1's rationality is commonly believed at the last 9 states
+        n = TABLE_LIMIT + 1
+        space = StateSpace(tuple(f"s{k}" for k in range(n)))
+        pairs = tuple(3 << k if k % 2 == 0 else 3 << (k - 1) for k in range(n - 1))
+        ops = {
+            "p1": PossibilityCorrespondence(space, tuple(1 << k for k in range(n))),
+            "p2": PossibilityCorrespondence(space, pairs + (1 << (n - 1),)),
+        }
+        belief = BeliefModel(
+            space, {p: BeliefOperator.from_correspondence(c, owner=p) for p, c in ops.items()}
+        )
+        gm = GameModel(belief, _pattern_game(0), (("b",) * 8 + ("a",) * (n - 8), ("a",) * n))
+        acc = _Acc(("implication",), cap=0)
+        resolve_claim("epistemic-iesda").check(gm, acc)
+        expect = [0, 0, 0]
+        for state in space.states:
+            expect[_STATUS_INDEX[epistemic_iesda_verdict(gm, state).status.value]] += 1
+        assert acc.tallies["implication"] == expect == [8, n - 8, 0]
+
 
 GAME_CLAIMS = ("thm2", "thm2-kripke-pi", "thm2-kripke-ni", "epistemic-iesda")
 # Slices of the exhaustive game stream. Blocks of 81 instances share a
@@ -458,11 +488,54 @@ class TestGameBlocks:
         else:
             pytest.fail("no forced violation in the slice")
 
-    @pytest.mark.parametrize("claim", ["epistemic-iesda", "thm2-kripke-ni"])
+    @pytest.mark.parametrize("claim", GAME_CLAIMS)
     def test_parallel_sweep_matches_inline(self, claim):
         one = json.dumps(audit(claim, self.SRC, jobs=1).to_dict())
         two = json.dumps(audit(claim, self.SRC, jobs=2).to_dict())
         assert one == two
+
+    def test_rationality_fact_reads_only_own_operator(self):
+        # each player's fact is the same whatever the other's operator,
+        # over every pair of two-state Kripke operators
+        for a, b in itertools.product(range(16), repeat=2):
+            for rows in ((("a", "b"), ("b", "a")), (("a", "a"), ("a", "b"))):
+                for g in range(0, 81, 16):
+                    game = _pattern_game(g)
+                    gm = GameModel(_pair_model(2, a, b), game, rows)
+                    own_first = GameModel(_pair_model(2, a, 0), game, rows)
+                    own_second = GameModel(_pair_model(2, 0, b), game, rows)
+                    assert _rationality_fact(gm, "p1") == _rationality_fact(own_first, "p1")
+                    assert _rationality_fact(gm, "p2") == _rationality_fact(own_second, "p2")
+
+    @pytest.mark.parametrize(
+        "claim,callee", [("thm2", correct_belief_chain), ("epistemic-iesda", rationality_event)]
+    )
+    def test_each_distinct_fact_is_decided_once(self, monkeypatch, claim, callee):
+        # 2 players, 16 own operators, 16 strategy pairs, 9 own patterns
+        calls = []
+
+        def counting(gm, player):
+            calls.append(player)
+            return callee(gm, player)
+
+        monkeypatch.setattr(f"beliefcheck.audit.{callee.__name__}", counting)
+        assert audit(claim, self.SRC, jobs=1).instances == 331_776
+        assert len(calls) == 2 * 16 * 16 * 9 == 4608
+
+    def test_violation_free_blocks_record_nothing_one_by_one(self, monkeypatch):
+        # blocks 2037 to 2050 have live premises for every game claim and
+        # no violation, so each instance is recorded by count
+        calls = []
+        record = _Acc.record
+        monkeypatch.setattr(
+            _Acc, "record", lambda self, *args: calls.append(args) or record(self, *args)
+        )
+        for claim in GAME_CLAIMS:
+            acc = _run_range(resolve_claim(claim).canonical, self.SRC, 81 * 2037, 81 * 2051, 5)
+            assert acc.instances == 81 * 14
+            assert acc.tallies["implication"][_STATUS_INDEX["confirmed"]] > 0
+            assert acc.violations_total == 0
+        assert calls == []
 
 
 PAIR_CLAIMS = tuple(
@@ -574,6 +647,28 @@ class TestPairSweeps:
         one = json.dumps(audit(claim, self.SRC, jobs=1).to_dict())
         two = json.dumps(audit(claim, self.SRC, jobs=2).to_dict())
         assert one == two
+
+    @pytest.mark.parametrize("claim", ["common-belief-vs-iteration", "strict-iteration-gap"])
+    def test_iteration_is_decided_once_per_mutual_table(self, monkeypatch, claim):
+        # afresh in every sweep call, so a second call decides them again
+        import beliefcheck.audit as audit_module
+
+        tables = [
+            BeliefOperator.from_correspondence(corr).table()
+            for corr in enumerate_correspondences(2)
+        ]
+        distinct = {intersect_tables(pair) for pair in itertools.product(tables, repeat=2)}
+        calls = []
+        common_table = audit_module.common_table
+        monkeypatch.setattr(
+            audit_module,
+            "common_table",
+            lambda mutual: calls.append(mutual) or common_table(mutual),
+        )
+        for _ in range(2):
+            calls.clear()
+            assert audit(claim, ModelSource(mode="exhaustive-kripke")).instances == 256
+            assert sorted(calls) == sorted(distinct)
 
 
 class TestExistenceClaims:
