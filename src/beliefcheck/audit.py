@@ -37,7 +37,6 @@ from .core import (
     ImplicationStatus,
     PossibilityCorrespondence,
     StateSpace,
-    TABLE_LIMIT,
     common_table,
     correspondence_property,
     intersect_tables,
@@ -686,9 +685,10 @@ def _axiom_implication_check(premise: tuple[Axiom, ...], conclusion: tuple[Axiom
 # Pair claims. Each is a per-operator fact, which reads only that
 # player's operator (its table, the axiom bits the claim is gated on,
 # its type signals, its certainty of a signal battery), and a tally,
-# tally(space, model, facts, acc), which records the instance, or one
-# instance per battery signal, from every player's fact; `model` builds
-# the instance and is called only to render a listing. A fact goes
+# tally(space, model, facts, acc, memo), which records the instance, or
+# one instance per battery signal, from every player's fact; `model`
+# builds the instance and is called only to render a listing, and
+# `memo` holds what depends only on the mutual-belief table. A fact goes
 # through `_holds` and `_type_signal_of`, so equal sampled draws share
 # work; a tally decides the rest (mutual and common belief, access,
 # certainty) on integer tables.
@@ -721,14 +721,16 @@ def _certain_on(table: tuple[int, ...], signals: Iterable[Signal]) -> bool:
     return not any(any(unbelieved_bits(sig, believe)) for sig in signals)
 
 
-def _mutual_and_common(tables) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _mutual_and_common(tables, memo: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The mutual-belief table and its common-belief table, which `memo`
+    holds per distinct mutual table."""
     mutual = intersect_tables(tables)
-    return mutual, common_table(mutual)
+    if mutual not in memo:
+        memo[mutual] = common_table(mutual)
+    return mutual, memo[mutual]
 
 
-def _pair_claim(
-    fact: Callable, tally: Callable, memo: bool = False
-) -> dict[str, Callable]:
+def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
     """The per-instance check and the sweep of one pair claim, as
     ClaimSpec keyword arguments.
 
@@ -736,23 +738,24 @@ def _pair_claim(
     (2^n)^n operators with each, the second fastest. So the sweep decides
     every operator's fact once, and tallies instance (a, b) =
     divmod(index, (2^n)^n) from (facts[a], facts[b]) without building its
-    belief model. With `memo`, the sweep passes the tally a fresh dict as
-    `memo`. It lives for one sweep call, so that a rebound callee is seen
-    by the next call."""
+    belief model. Every tally takes a memo of what depends only on the
+    mutual table. The sweep keeps one for the whole call, at most 512
+    mutual tables on three states, and drops it at the end, so that a
+    rebound callee is seen by the next call."""
 
     def check(model: BeliefModel, acc: _Acc) -> None:
         facts = [fact(op) for op in model.operators.values()]
-        tally(model.space, lambda: model, facts, acc)
+        tally(model.space, lambda: model, facts, acc, {})
 
     def sweep(source: ModelSource, lo: int, hi: int, acc: _Acc) -> None:
         n = source.n_states
         space = standard_space(n)
         corr_count = space.size**n
         facts = [fact(_kripke_op_at(n, k, "i")) for k in range(corr_count)]
-        run = partial(tally, memo={}) if memo else tally
+        memo = {}
         for index in range(lo, hi):
             a, b = divmod(index, corr_count)
-            run(space, partial(_kripke_pair, n, a, b), (facts[a], facts[b]), acc)
+            tally(space, partial(_kripke_pair, n, a, b), (facts[a], facts[b]), acc, memo)
 
     return {"check": check, "sweep": sweep}
 
@@ -770,7 +773,7 @@ def _cross_type_claim(
     def fact(op: BeliefOperator):
         return op.table(), _type_signal_of(op, kind), _all_hold(op, gate)
 
-    def tally(space, model, facts, acc: _Acc) -> None:
+    def tally(space, model, facts, acc: _Acc, memo: dict) -> None:
         (observer, _, gated), (subject, sig, _) = _observer_subject(facts)
         acc.add_instance()
         left = _certain_on(observer, (sig,))
@@ -795,13 +798,13 @@ def _truthful_fact(op: BeliefOperator):
     )
 
 
-def _truthful_tally(space, model, facts, acc: _Acc) -> None:
+def _truthful_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     acc.add_instance()
     if None in facts:
         acc.vacuous()
         return
     tables = [table for table, _, _ in facts]
-    _, common = _mutual_and_common(tables)
+    _, common = _mutual_and_common(tables, memo)
     left = _certain_on(common, [sig for _, sig, _ in facts])
     # operators are equal exactly when their tables are
     right = all(a == b for a, b in itertools.combinations(tables, 2)) and all(
@@ -820,13 +823,13 @@ def _conjunctive_fact(op: BeliefOperator):
     return op.table(), _type_signal_of(op, FamilyKind.SIGMA_ATOMS)
 
 
-def _common_access_tally(space, model, facts, acc: _Acc) -> None:
+def _common_access_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     acc.add_instance()
     if None in facts:
         acc.vacuous()
         return
     tables = [table for table, _ in facts]
-    mutual, common = _mutual_and_common(tables)
+    mutual, common = _mutual_and_common(tables, memo)
     left = _certain_on(common, [sig for _, sig in facts])
     right = all(
         not any(positive_access_bits(common, t)) and not any(negative_access_bits(common, t))
@@ -837,37 +840,36 @@ def _common_access_tally(space, model, facts, acc: _Acc) -> None:
     acc.implication("in-particular", left, left and common == mutual, text)
 
 
-def _converse_tally(space, model, facts, acc: _Acc) -> None:
+def _converse_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     acc.add_instance()
     found = None not in facts
     if found:
-        mutual, common = _mutual_and_common([table for table, _ in facts])
+        mutual, common = _mutual_and_common([table for table, _ in facts], memo)
         found = common == mutual and not _certain_on(common, [sig for _, sig in facts])
     acc.exists(found, _pair_text(model))
 
 
-def _common_and_iterated(tables, memo: dict | None = None) -> list[tuple[int, int]]:
+def _common_and_iterated(tables, memo: dict) -> list[tuple[int, int]]:
     """Per event, the common-belief bits and the intersection of the
     iterated mutual beliefs. The accumulator is nonincreasing and the
     iterate sequence cycles within 2^n steps, so twice around absorbs
-    the whole cycle. Both depend only on the mutual table, so a sweep's
-    memo decides each distinct one once: at most 512 on three states."""
-    mutual = intersect_tables(tables)
-    memo = {} if memo is None else memo
-    if mutual not in memo:
+    the whole cycle. Both depend only on the mutual table, so `memo`
+    holds the pairs too, keyed apart from the common tables."""
+    mutual, common = _mutual_and_common(tables, memo)
+    key = ("iterated", mutual)
+    if key not in memo:
         depth = 2 * len(mutual) + 1
-        memo[mutual] = [
-            (c, iterated_mutual_bits(mutual, e, depth))
-            for e, c in enumerate(common_table(mutual))
+        memo[key] = [
+            (c, iterated_mutual_bits(mutual, e, depth)) for e, c in enumerate(common)
         ]
-    return memo[mutual]
+    return memo[key]
 
 
 def _iteration_fact(op: BeliefOperator):
     return op.table(), _holds(op, Axiom.COUNTABLE_CONJUNCTION)
 
 
-def _iteration_tally(space, model, facts, acc: _Acc, memo=None) -> None:
+def _iteration_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     acc.add_instance()
     pairs = _common_and_iterated([table for table, _ in facts], memo)
     contained = all(not common & ~stab for common, stab in pairs)
@@ -879,7 +881,7 @@ def _iteration_tally(space, model, facts, acc: _Acc, memo=None) -> None:
     )
 
 
-def _iteration_gap_tally(space, model, tables, acc: _Acc, memo=None) -> None:
+def _iteration_gap_tally(space, model, tables, acc: _Acc, memo: dict) -> None:
     acc.add_instance()
     acc.exists(
         any(
@@ -911,7 +913,7 @@ def _transfer_claim(direction: str, battery: Callable) -> dict[str, Callable]:
     the second, when both are consistent and the second is certain of
     the first's type mapping on atoms."""
 
-    def tally(space, model, facts, acc: _Acc) -> None:
+    def tally(space, model, facts, acc: _Acc, memo: dict) -> None:
         (ok_i, _, sigma_i, certain_i), (ok_j, table_j, _, certain_j) = (
             _observer_subject(facts)
         )
@@ -933,13 +935,13 @@ def _transfer_claim(direction: str, battery: Callable) -> dict[str, Callable]:
     return _pair_claim(_battery_fact(battery), tally)
 
 
-def _shared_tally(space, model, facts, acc: _Acc) -> None:
+def _shared_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     """Consistent players commonly certain of the type profile are
     certain of the same transfer-battery signals."""
     (ok_i, _, _, certain_i), (ok_j, _, _, certain_j) = _observer_subject(facts)
     live = ok_i and ok_j
     if live:
-        _, common = _mutual_and_common([table for _, table, _, _ in facts])
+        _, common = _mutual_and_common([table for _, table, _, _ in facts], memo)
         live = _certain_on(common, [sigma for _, _, sigma, _ in facts])
     if not live:
         acc.add_instance(len(certain_i))
@@ -952,9 +954,11 @@ def _shared_tally(space, model, facts, acc: _Acc) -> None:
 
 # Game claims. Each is a per-player fact, which reads only that
 # player's operator, the strategy rows and the player's own ranks, and a
-# tally, which records one instance from every player's fact. A tally
-# records an instance without a violation by count, and builds its
-# listing and walks its states only when something is violated.
+# tally, tally(belief, game, rows, facts, acc, memo), which records one
+# instance from every player's fact; `memo` holds what depends only on
+# the belief model. A tally records an instance without a violation by
+# count, and builds its listing and walks its states only when
+# something is violated.
 
 
 def _chain_fact(chain: str) -> Callable:
@@ -962,7 +966,9 @@ def _chain_fact(chain: str) -> Callable:
     return lambda gm, p: globals()[chain](gm, p).status
 
 
-def _chain_tally(belief: BeliefModel, game: Game, rows, facts, acc: _Acc) -> None:
+def _chain_tally(
+    belief: BeliefModel, game: Game, rows, facts, acc: _Acc, memo: dict
+) -> None:
     acc.add_instance()
     if ImplicationStatus.VIOLATED not in facts:
         confirmed = facts.count(ImplicationStatus.CONFIRMED)
@@ -980,29 +986,25 @@ def _rationality_fact(gm: GameModel, p: str) -> tuple[bool, int]:
     return not gm.belief.operator(p).apply_bits(rat) & ~rat, rat
 
 
-def _common_bits(belief: BeliefModel, bits: int) -> int:
-    """Common belief of an event, from the model's cached table where
-    the space is small enough to have one."""
-    if belief.space.n > TABLE_LIMIT:
-        return belief.common_belief(belief.space.event_from_bits(bits)).bits
-    return belief.common_table()[bits]
-
-
-def _survival_tally(belief: BeliefModel, game: Game, rows, facts, acc: _Acc) -> None:
+def _survival_tally(
+    belief: BeliefModel, game: Game, rows, facts, acc: _Acc, memo: dict
+) -> None:
     # status-equivalent to epistemic_iesda_verdict at every state
     acc.add_instance()
-    n = len(rows[0])  # a strategy row holds one action per state
-    premise = (1 << n) - 1
+    space = belief.space
+    premise = space.size - 1
     for correct, rat in facts:
-        premise &= _common_bits(belief, rat) if correct else 0
+        if correct and rat not in memo:
+            memo[rat] = belief.common_belief(space.event_from_bits(rat)).bits
+        premise &= memo[rat] if correct else 0
     # without a live premise every state is vacuous, whatever survives
     survived = premise and survival_bits(game, rows, maximal_trace(game))
     if not premise & ~survived:
         live = premise.bit_count()
-        acc.count("implication", n - live, live)
+        acc.count("implication", space.n - live, live)
         return
     text = _game_text(belief, game, rows)
-    for k in range(n):
+    for k in range(space.n):
         acc.implication(
             "implication", bool(premise >> k & 1), bool(survived >> k & 1), text
         )
@@ -1018,12 +1020,13 @@ def _game_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
     sweep decides the nine facts of a player, own operator table and
     strategy rows once, one per own pattern k on the diagonal game
     10 * k, whose two players both have pattern k: 2 * 16 * 16 * 9 =
-    4,608 facts on two states. The memo lives for one sweep call, so a
-    rebound callee is seen by the next call."""
+    4,608 facts on two states. The fact memo lives for one sweep call,
+    so a rebound callee is seen by the next call; the tally's memo lives
+    for one block, whose 81 instances share the belief model."""
 
     def check(gm: GameModel, acc: _Acc) -> None:
         facts = [fact(gm, p) for p in gm.game.players]
-        tally(gm.belief, gm.game, gm.strategies, facts, acc)
+        tally(gm.belief, gm.game, gm.strategies, facts, acc, {})
 
     def sweep(source: ModelSource, lo: int, hi: int, acc: _Acc) -> None:
         players = _pattern_game(0).players
@@ -1040,8 +1043,10 @@ def _game_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
 
         for belief, rows, games in _game_blocks(source, lo, hi):
             first, second = own_facts(belief, rows, 0), own_facts(belief, rows, 1)
+            block = {}
             for g in games:
-                tally(belief, _pattern_game(g), rows, (first[g // 9], second[g % 9]), acc)
+                facts = (first[g // 9], second[g % 9])
+                tally(belief, _pattern_game(g), rows, facts, acc, block)
 
     return {"check": check, "sweep": sweep}
 
@@ -1414,7 +1419,7 @@ _CLAIMS = (
         "mutual-belief intersection and equals it for conjunctive "
         "players",
         ("contained-in-iteration", "equals-at-stabilization"),
-        **_pair_claim(_iteration_fact, _iteration_tally, memo=True),
+        **_pair_claim(_iteration_fact, _iteration_tally),
     ),
     ClaimSpec(
         "strictly-finer-common-belief-exists",
@@ -1424,7 +1429,7 @@ _CLAIMS = (
         "without conjunction the common-belief fixed point can be "
         "strictly below the iterated intersection",
         ("witness",),
-        **_pair_claim(lambda op: op.table(), _iteration_gap_tally, memo=True),
+        **_pair_claim(lambda op: op.table(), _iteration_gap_tally),
     ),
     ClaimSpec(
         "beta-certainty-without-negbeta-certainty-exists",

@@ -703,9 +703,6 @@ class BeliefModel:
     _mutual: tuple[int, ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
-    _common: tuple[int, ...] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __init__(self, space: StateSpace, operators: Mapping[str, BeliefOperator]):
         if not operators:
@@ -717,7 +714,6 @@ class BeliefModel:
         object.__setattr__(self, "players", tuple(operators))
         object.__setattr__(self, "_operators", tuple(operators.values()))
         object.__setattr__(self, "_mutual", None)
-        object.__setattr__(self, "_common", None)
 
     def operator(self, player: str) -> BeliefOperator:
         try:
@@ -762,15 +758,9 @@ class BeliefModel:
         # an intersection of monotone tables is monotone: no re-validation
         return BeliefOperator(self.space, _table=self.mutual_table())
 
-    def common_table(self) -> tuple[int, ...]:
-        """Common-belief image of every event, cached."""
-        if self._common is None:
-            object.__setattr__(self, "_common", common_table(self.mutual_table()))
-        return self._common
-
     def common_operator(self) -> BeliefOperator:
         """Common belief packaged as an operator (monotone, so admissible)."""
-        return BeliefOperator(self.space, _table=self.common_table())
+        return BeliefOperator(self.space, _table=common_table(self.mutual_table()))
 
     def common_belief(self, event: Event) -> Event:
         """Union of the publicly evident events inside mutual belief of event."""

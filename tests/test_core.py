@@ -409,16 +409,6 @@ class TestMutualAndCommonBelief:
             assert c <= model.mutual_belief(event)
             assert c <= model.mutual_belief(c)
 
-    def test_common_table_is_cached_and_matches_common_belief(self, space3):
-        op1 = identity_operator(space3, "1")
-        op2 = blindspot_operator(space3, "2")
-        model = BeliefModel(space3, {"1": op1, "2": op2})
-        table = model.common_table()
-        assert model.common_table() is table
-        assert model.common_operator().table() == table
-        for event in space3.events():
-            assert table[event.bits] == model.common_belief(event).bits
-
     def test_iterated_contains_common_belief_everywhere(self, space3):
         op1 = identity_operator(space3, "1")
         op2 = blindspot_operator(space3, "2")
