@@ -7,11 +7,12 @@ tallies verdicts per implication direction. Audits are pure and
 deterministic: the same claim and source always give the same result,
 including the serialized violation and counterexample listings, and
 the instance stream is index-addressable so runs parallelize into
-ordered chunks with a deterministic merge. The exhaustive streams are
-swept without building each instance. A pair claim reads each player's
-operator through one per-operator fact, so the exhaustive Kripke pair
-stream decides the fact of each of its (2^n)^n operators once and
-tallies every pair from two facts. In the exhaustive game stream each
+ordered chunks with a deterministic merge. The exhaustive streams and
+the sampled pair stream are swept without building each instance. A
+pair claim reads each player's operator through one per-operator fact,
+so the exhaustive Kripke pair stream decides the fact of each of its
+(2^n)^n operators once and tallies every pair from two facts, and the
+sampled pair stream decides it once per distinct drawn table. In the exhaustive game stream each
 run of 81 consecutive instances shares one belief model and one
 strategy profile, and a claim decides a whole block at once from each
 player's own game pattern. Generated pair instances have exactly two
@@ -30,6 +31,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .core import (
+    TABLE_LIMIT,
     Axiom,
     BeliefModel,
     BeliefOperator,
@@ -41,6 +43,8 @@ from .core import (
     correspondence_property,
     intersect_tables,
     iterated_mutual_bits,
+    kripke_table,
+    monotone_closure_table,
 )
 from .dsl import parse_model_spec, serialize_model
 from .games import Game, GameModel, correct_belief_chain
@@ -63,7 +67,21 @@ EXHAUSTIVE_STATE_LIMIT = 3
 _GAME_PROFILE_LIMIT = 4096
 _ACTION_NAMES = "abcdefghij"  # of a sampled game; their count caps its actions
 MODES = ("exhaustive-kripke", "sampled-monotone", "exhaustive-games", "from-files")
-_SWEPT_MODES = ("exhaustive-kripke", "exhaustive-games")
+# per arena, the source modes a claim's sweep decides; any other source
+# runs the per-instance check
+_SWEPT_MODES = {
+    "pair": ("exhaustive-kripke", "sampled-monotone"),
+    "game": ("exhaustive-games",),
+}
+# the players of a sampled operator or pair instance, one draw each
+_SAMPLED_PLAYERS = {"operator": ("i",), "pair": ("i", "j")}
+# A sampled pair sweep interns the tables it draws, and the tallies memo
+# what depends on the mutual table. Three states have 8,000 monotone
+# tables, so those stores never pass 24,512 keys, but past a few states
+# nearly every draw is new and they would grow with the count. So one
+# call empties them whenever their keys times 2^n pass this bound,
+# which on three states is 32,768 keys.
+_POOL_ENTRIES = 1 << 18
 VIOLATION_CAP = 5
 
 # ordinal content of a 2x2 game, per player: the sign of the own-action
@@ -155,18 +173,42 @@ def _kripke_op_at(n: int, index: int, owner: str) -> BeliefOperator:
     )
 
 
-def _draw_operator(
-    rng: random.Random, space: StateSpace, owner: str | None = None
-) -> BeliefOperator:
+def _draw_spec(rng: random.Random, space: StateSpace) -> tuple[int, ...] | dict[int, int]:
+    """One operator draw of the sampled stream, the only procedure that
+    draws one: with probability one half a Kripke possible-set tuple,
+    otherwise the partial core of a monotone closure."""
     if rng.random() < 0.5:
-        possible = tuple(rng.randrange(space.size) for _ in range(space.n))
-        return BeliefOperator.from_correspondence(
-            PossibilityCorrespondence(space, possible), owner=owner
-        )
+        return tuple(rng.randrange(space.size) for _ in range(space.n))
     core: dict[int, int] = {}
     for _ in range(rng.randint(1, max(2, space.n))):
         core[rng.randrange(space.size)] = rng.randrange(space.size)
-    return BeliefOperator.monotone_closure(space, core, owner=owner)
+    return core
+
+
+def _operator_of(
+    space: StateSpace, spec: tuple[int, ...] | dict[int, int], owner: str | None = None
+) -> BeliefOperator:
+    """The drawn operator: correspondence-backed for a possible-set tuple,
+    so a listing shows a `kripke` block, table-built for a core."""
+    if isinstance(spec, tuple):
+        return BeliefOperator.from_correspondence(
+            PossibilityCorrespondence(space, spec), owner=owner
+        )
+    return BeliefOperator.monotone_closure(space, spec, owner=owner)
+
+
+def _draw_operator(
+    rng: random.Random, space: StateSpace, owner: str | None = None
+) -> BeliefOperator:
+    return _operator_of(space, _draw_spec(rng, space), owner)
+
+
+def _drawn_model(
+    space: StateSpace, players: tuple[str, ...], specs: Iterable
+) -> BeliefModel:
+    return BeliefModel(
+        space, {p: _operator_of(space, spec, p) for p, spec in zip(players, specs)}
+    )
 
 
 def sample_monotone_operators(
@@ -336,22 +378,19 @@ def _instances(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
             for g in games:
                 yield GameModel(belief, _pattern_game(g), rows)
         return
+    # pair audits run their sweeps; this stream is their tested reference.
+    # A draw before lo only advances the stream.
     rng = random.Random(source.seed)
+    players = _SAMPLED_PLAYERS.get(arena)
     for index in range(hi):
-        if arena == "operator":
-            instance = BeliefModel(space, {"i": _draw_operator(rng, space, "i")})
-        elif arena == "pair":
-            instance = BeliefModel(
-                space,
-                {
-                    "i": _draw_operator(rng, space, "i"),
-                    "j": _draw_operator(rng, space, "j"),
-                },
-            )
-        else:
-            instance = _sampled_game(rng, source)
+        if players is None:
+            game = _sampled_game(rng, source)
+            if index >= lo:
+                yield game
+            continue
+        specs = [_draw_spec(rng, space) for _ in players]
         if index >= lo:
-            yield instance
+            yield _drawn_model(space, players, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +727,10 @@ def _axiom_implication_check(premise: tuple[Axiom, ...], conclusion: tuple[Axiom
 # tally(space, model, facts, acc, memo), which records the instance, or
 # one instance per battery signal, from every player's fact; `model`
 # builds the instance and is called only to render a listing, and
-# `memo` holds what depends only on the mutual-belief table. A fact goes
-# through `_holds` and `_type_signal_of`, so equal sampled draws share
-# work; a tally decides the rest (mutual and common belief, access,
-# certainty) on integer tables.
+# `memo` holds what depends only on the mutual-belief table. A fact is
+# a function of the operator's table alone, so a sweep decides it once
+# per distinct table; a tally decides the rest (mutual and common
+# belief, access, certainty) on integer tables.
 
 
 def _pair_text(
@@ -735,13 +774,19 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
     ClaimSpec keyword arguments.
 
     The exhaustive Kripke pair stream on n states pairs each of the
-    (2^n)^n operators with each, the second fastest. So the sweep decides
+    (2^n)^n operators with each, the second fastest. So its sweep decides
     every operator's fact once, and tallies instance (a, b) =
     divmod(index, (2^n)^n) from (facts[a], facts[b]) without building its
-    belief model. Every tally takes a memo of what depends only on the
-    mutual table. The sweep keeps one for the whole call, at most 512
-    mutual tables on three states, and drops it at the end, so that a
-    rebound callee is seen by the next call."""
+    belief model. The sampled stream replays the draws as specs and turns
+    each into its table without building an operator, the Kripke ones
+    through a dict keyed by the possible-set tuple. Its sweep interns the
+    facts by table in a pool, so a fact is decided once per distinct
+    table, on the operator of the first draw with that table; a draw
+    before lo only advances the stream. Every tally takes a memo of what
+    depends only on the mutual table. A sweep keeps one for the whole
+    call (at most 512 mutual tables for three-state Kripke pairs; see
+    _POOL_ENTRIES for sampled ones) and drops it and the pool
+    at the end, so that a rebound callee is seen by the next call."""
 
     def check(model: BeliefModel, acc: _Acc) -> None:
         facts = [fact(op) for op in model.operators.values()]
@@ -750,12 +795,41 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
     def sweep(source: ModelSource, lo: int, hi: int, acc: _Acc) -> None:
         n = source.n_states
         space = standard_space(n)
-        corr_count = space.size**n
-        facts = [fact(_kripke_op_at(n, k, "i")) for k in range(corr_count)]
         memo = {}
-        for index in range(lo, hi):
-            a, b = divmod(index, corr_count)
-            tally(space, partial(_kripke_pair, n, a, b), (facts[a], facts[b]), acc, memo)
+        if source.mode == "exhaustive-kripke":
+            corr_count = space.size**n
+            facts = [fact(_kripke_op_at(n, k, "i")) for k in range(corr_count)]
+            for index in range(lo, hi):
+                a, b = divmod(index, corr_count)
+                tally(space, partial(_kripke_pair, n, a, b), (facts[a], facts[b]), acc, memo)
+            return
+        if n > TABLE_LIMIT:
+            # as the first drawn operator's fact would: every fact reads the table
+            raise ValueError("state space too large for explicit event tables")
+        pool, kripke = {}, {}
+        keys = _POOL_ENTRIES // space.size
+
+        def fact_of(spec):
+            if isinstance(spec, tuple):
+                if spec not in kripke:
+                    kripke[spec] = kripke_table(spec, n)
+                table = kripke[spec]
+            else:
+                table = monotone_closure_table(spec, n)
+            if table not in pool:
+                pool[table] = fact(_operator_of(space, spec))
+            return pool[table]
+
+        rng = random.Random(source.seed)
+        for index in range(hi):
+            specs = (_draw_spec(rng, space), _draw_spec(rng, space))
+            if index < lo:
+                continue
+            if len(pool) + len(kripke) + len(memo) > keys:
+                for store in (pool, kripke, memo):
+                    store.clear()
+            model = partial(_drawn_model, space, _SAMPLED_PLAYERS["pair"], specs)
+            tally(space, model, (fact_of(specs[0]), fact_of(specs[1])), acc, memo)
 
     return {"check": check, "sweep": sweep}
 
@@ -1084,8 +1158,9 @@ class ClaimSpec:
         "sampled-monotone",
         "from-files",
     )
-    # sweep(source, lo, hi, acc) of instances [lo, hi) of an exhaustive
-    # source, making the calls on acc that `check` makes per instance
+    # sweep(source, lo, hi, acc) of instances [lo, hi) of a generated
+    # source (_SWEPT_MODES), making the calls on acc that `check` makes
+    # per instance
     sweep: Callable | None = None
 
 
@@ -1470,7 +1545,7 @@ def resolve_claim(claim: str) -> ClaimSpec:
 def _run_range(claim_id: str, source: ModelSource, lo: int, hi: int, cap: int) -> _Acc:
     spec = resolve_claim(claim_id)
     acc = _Acc(spec.directions, cap)
-    if spec.sweep is not None and source.mode in _SWEPT_MODES:
+    if spec.sweep is not None and source.mode in _SWEPT_MODES.get(spec.arena, ()):
         spec.sweep(source, lo, hi, acc)
     else:
         for instance in _instances(spec.arena, source, lo, hi):

@@ -19,9 +19,12 @@ from beliefcheck.audit import (
     sample_monotone_operators,
     standard_space,
     _CLAIMS,
+    _draw_operator,
+    _draw_spec,
     _game_blocks,
     _instance_count,
     _instances,
+    _operator_of,
     _pair_model,
     _pattern_game,
     _rationality_fact,
@@ -44,6 +47,8 @@ from beliefcheck.core import (
     correspondence_property,
     intersect_tables,
     iterated_mutual_bits,
+    kripke_table,
+    monotone_closure_table,
 )
 from beliefcheck.dsl import parse_model_spec, serialize_model
 from beliefcheck.games import (
@@ -154,6 +159,7 @@ class TestModelSource:
         def no_draw(*args):
             raise AssertionError("drew an operator")
 
+        monkeypatch.setattr("beliefcheck.audit._draw_spec", no_draw)
         monkeypatch.setattr("beliefcheck.audit._draw_operator", no_draw)
         src = ModelSource(mode=mode, n_states=1, n_players=players, count=count)
         for claim in ("thm1-2", "prop4-1a", "remark1-1a"):
@@ -208,6 +214,39 @@ class TestSampler:
     def test_count_floor(self):
         with pytest.raises(ValueError, match="positive"):
             next(sample_monotone_operators(2, 0, 0))
+
+    # SHA-256 of the (correspondence-backed, table) rows of 500 operator
+    # draws from seed 13, and of the generator state after them, as the
+    # stream was drawn before a draw was a spec
+    OLD_STREAM = {
+        2: (
+            "575d53cc08a0a9c5648b912d9ff94dacaa1112bce627cb4da0b90f118e6a6efd",
+            "54b2e2442ccb5eabdd35e4b14be12b4703edf7084d6c6acf4fb41cf74b9e2c8b",
+        ),
+        3: (
+            "8b353741b7ef2193ce7f6b8aa8ac50db245fbb74dd4cad4fe8fe92f646470c8d",
+            "dc8a863b9c4ea04dd9c7dcdc895bf56fe7629d5beb3341d28d5b087fe64e4643",
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_spec_draws_replay_the_operator_stream(self, n):
+        space = standard_space(n)
+        by_spec, by_operator = random.Random(13), random.Random(13)
+        specs = [_draw_spec(by_spec, space) for _ in range(500)]
+        ops = [_draw_operator(by_operator, space) for _ in range(500)]
+        assert by_spec.getstate() == by_operator.getstate()
+        rows = [(op.has_correspondence(), op.table()) for op in ops]
+        built = [_operator_of(space, spec) for spec in specs]
+        assert [(op.has_correspondence(), op.table()) for op in built] == rows
+        # the sampled pair sweep's tables, built without an operator
+        tables = [
+            kripke_table(spec, n) if isinstance(spec, tuple) else monotone_closure_table(spec, n)
+            for spec in specs
+        ]
+        assert tables == [table for _, table in rows]
+        digest = lambda value: hashlib.sha256(repr(value).encode()).hexdigest()
+        assert (digest(rows), digest(by_spec.getstate())) == self.OLD_STREAM[n]
 
 
 class TestRegistry:
@@ -579,6 +618,46 @@ def forced_pair_facts(monkeypatch):
     monkeypatch.setattr(audit_module, "iterated_mutual_bits", forced_iterated)
 
 
+COMMON_TABLE_CLAIMS = (
+    "thm1-1",
+    "thm1-2",
+    "thm1-2-converse-fails",
+    "prop4-1b",
+    "common-belief-vs-iteration",
+    "strict-iteration-gap",
+)
+
+
+def _drawn_tables(source):
+    """The operator tables of each instance of a generated pair source."""
+    return [
+        tuple(op.table() for op in model.operators.values())
+        for model in _instances("pair", source, 0, _instance_count("pair", source))
+    ]
+
+
+def _assert_common_table_once(monkeypatch, claim, source):
+    # afresh in every sweep call, so a second call decides them again.
+    # A vacuous pair reads no common table, so only the two iteration
+    # claims reach every mutual table
+    import beliefcheck.audit as audit_module
+
+    distinct = {intersect_tables(pair) for pair in _drawn_tables(source)}
+    calls = []
+    common_table = audit_module.common_table
+    monkeypatch.setattr(
+        audit_module,
+        "common_table",
+        lambda mutual: calls.append(mutual) or common_table(mutual),
+    )
+    for _ in range(2):
+        calls.clear()
+        assert audit(claim, source).instances >= _instance_count("pair", source)
+        assert calls and len(calls) == len(set(calls)) and set(calls) <= distinct
+        if "iteration" in claim:
+            assert set(calls) == distinct
+
+
 class TestPairSweeps:
     SRC = ModelSource(mode="exhaustive-kripke", n_states=3)
 
@@ -638,41 +717,146 @@ class TestPairSweeps:
         two = json.dumps(audit(claim, self.SRC, jobs=2).to_dict())
         assert one == two
 
-    @pytest.mark.parametrize(
-        "claim",
-        [
-            "thm1-1",
-            "thm1-2",
-            "thm1-2-converse-fails",
-            "prop4-1b",
-            "common-belief-vs-iteration",
-            "strict-iteration-gap",
-        ],
-    )
+    @pytest.mark.parametrize("claim", COMMON_TABLE_CLAIMS)
     def test_common_table_is_decided_once_per_mutual_table(self, monkeypatch, claim):
-        # afresh in every sweep call, so a second call decides them again.
-        # A vacuous pair reads no common table, so only the two iteration
-        # claims reach every mutual table
+        _assert_common_table_once(monkeypatch, claim, ModelSource(mode="exhaustive-kripke"))
+
+
+SAMPLED_PAIR_CLAIMS = tuple(
+    spec.canonical
+    for spec in _CLAIMS
+    if spec.arena == "pair" and "sampled-monotone" in spec.modes
+)
+# Sampled pair sources with slices of their streams. Every slice but the
+# first starts past the stream's start, as a worker chunk does, so the
+# sweep replays the draws before it.
+SAMPLED_PAIR_SLICES = (
+    (ModelSource(mode="sampled-monotone", n_states=2, seed=3, count=400), 0, 90),
+    (ModelSource(mode="sampled-monotone", n_states=2, seed=3, count=400), 137, 400),
+    (ModelSource(mode="sampled-monotone", n_states=3, seed=0, count=3000), 1, 120),
+    (ModelSource(mode="sampled-monotone", n_states=3, seed=0, count=3000), 2_850, 3_000),
+)
+
+
+class TestSampledPairSweeps:
+    SRC = ModelSource(mode="sampled-monotone", n_states=3, seed=0, count=3000)
+
+    def test_every_pair_claim_is_swept(self):
+        assert len(SAMPLED_PAIR_CLAIMS) == 13
+        assert set(SAMPLED_PAIR_CLAIMS) == set(PAIR_CLAIMS)
+
+    @pytest.mark.parametrize("claim", SAMPLED_PAIR_CLAIMS)
+    @pytest.mark.parametrize("source,lo,hi", SAMPLED_PAIR_SLICES)
+    def test_sweep_matches_per_instance(self, claim, source, lo, hi):
+        assert _blocked(claim, source, lo, hi, 5) == _pair_reference(claim, source, lo, hi, 5)
+
+    @pytest.mark.parametrize("cap", [0, 3, 40])
+    @pytest.mark.parametrize("claim", SAMPLED_PAIR_CLAIMS)
+    def test_forced_failures_list_alike(self, forced_pair_facts, claim, cap):
+        listed = []
+        found = 0
+        for source, lo, hi in SAMPLED_PAIR_SLICES:
+            swept = _blocked(claim, source, lo, hi, cap)
+            assert swept == _pair_reference(claim, source, lo, hi, cap), (source, lo, hi)
+            found_here = swept["violations_total"] + swept["counterexamples_total"]
+            listed_here = swept["violations"] + swept["counterexamples"]
+            assert len(listed_here) == min(cap, found_here)
+            found += found_here
+            listed += listed_here
+        assert found > 0
+        if cap == 40:
+            # drawn operators list as drawn: kripke blocks and table blocks
+            text = "".join(listed)
+            assert "kripke {" in text and "table {" in text
+
+    def test_each_drawn_table_is_decided_once(self, monkeypatch):
+        # the iteration fact reads one axiom, so _holds is called once
+        # per fact; the pool lives for one call
         import beliefcheck.audit as audit_module
 
-        tables = [
-            BeliefOperator.from_correspondence(corr).table()
-            for corr in enumerate_correspondences(2)
-        ]
-        distinct = {intersect_tables(pair) for pair in itertools.product(tables, repeat=2)}
+        drawn = {table for pair in _drawn_tables(self.SRC) for table in pair}
         calls = []
-        common_table = audit_module.common_table
+        holds = audit_module._holds
         monkeypatch.setattr(
             audit_module,
-            "common_table",
-            lambda mutual: calls.append(mutual) or common_table(mutual),
+            "_holds",
+            lambda op, axiom: calls.append(op.table()) or holds(op, axiom),
         )
         for _ in range(2):
             calls.clear()
-            assert audit(claim, ModelSource(mode="exhaustive-kripke")).instances >= 256
-            assert calls and len(calls) == len(set(calls)) and set(calls) <= distinct
-            if "iteration" in claim:
-                assert set(calls) == distinct
+            assert audit("common-belief-vs-iteration", self.SRC).instances == 3000
+            assert sorted(calls) == sorted(drawn)
+        assert len(drawn) < 2 * 3000
+
+    @pytest.mark.parametrize("claim", COMMON_TABLE_CLAIMS)
+    def test_common_table_is_decided_once_per_mutual_table(self, monkeypatch, claim):
+        _assert_common_table_once(monkeypatch, claim, self.SRC)
+
+    @pytest.mark.parametrize("claim", ["strict-iteration-gap", "thm1-2", "prop4-1b"])
+    def test_emptied_stores_give_the_same_report(self, monkeypatch, claim):
+        # a pool of at most eight three-state tables is emptied over and
+        # over within one call; facts and memo entries are pure functions
+        # of their keys, so only the work repeats
+        lo, hi = SAMPLED_PAIR_SLICES[-1][1:]
+        full = _blocked(claim, self.SRC, lo, hi, 40)
+        monkeypatch.setattr("beliefcheck.audit._POOL_ENTRIES", 64)
+        assert _blocked(claim, self.SRC, lo, hi, 40) == full
+
+    def test_large_spaces_are_refused_before_a_table_is_built(self, monkeypatch):
+        # every pair fact reads the operator's table, which a space past
+        # TABLE_LIMIT states does not have
+        def no_table(*args):
+            raise AssertionError("built a table")
+
+        monkeypatch.setattr("beliefcheck.audit.kripke_table", no_table)
+        monkeypatch.setattr("beliefcheck.audit.monotone_closure_table", no_table)
+        src = ModelSource(mode="sampled-monotone", n_states=17, count=3)
+        with pytest.raises(ValueError, match="too large for explicit event tables"):
+            audit("thm1-2", src)
+
+    def test_draws_before_the_slice_only_advance_the_stream(self, monkeypatch):
+        import beliefcheck.audit as audit_module
+
+        lo, hi = 2_900, 3_000
+        rng = random.Random(self.SRC.seed)
+        specs = [_draw_spec(rng, standard_space(3)) for _ in range(2 * hi)][2 * lo :]
+        built = []
+        for name in ("kripke_table", "monotone_closure_table", "_operator_of"):
+            real = getattr(audit_module, name)
+            monkeypatch.setattr(
+                audit_module,
+                name,
+                lambda *args, real=real, name=name: built.append((name, args)) or real(*args),
+            )
+        # thm1-2 has no violation here, so no listing builds an operator:
+        # the pool builds one per distinct table of the slice
+        acc = _run_range(resolve_claim("thm1-2").canonical, self.SRC, lo, hi, 5)
+        assert acc.instances == hi - lo and acc.violations_total == 0
+        kripke = [args[0] for name, args in built if name == "kripke_table"]
+        closures = [args[0] for name, args in built if name == "monotone_closure_table"]
+        operators = [args[1] for name, args in built if name == "_operator_of"]
+        assert kripke == list(dict.fromkeys(s for s in specs if isinstance(s, tuple)))
+        assert closures == [s for s in specs if isinstance(s, dict)]
+        assert all(spec in specs for spec in operators)
+        tables = {_operator_of(standard_space(3), spec).table() for spec in specs}
+        assert len(operators) == len(tables) < len(specs)
+
+    @pytest.mark.parametrize(
+        "claim,source",
+        [
+            (
+                "strict-iteration-gap",
+                ModelSource(mode="sampled-monotone", n_states=3, seed=0, count=20_000),
+            ),
+            ("prop4-1a", ModelSource(mode="sampled-monotone", n_states=3, seed=1, count=3000)),
+        ],
+    )
+    def test_parallel_sweep_matches_inline(self, claim, source):
+        one = audit(claim, source, jobs=1)
+        two = audit(claim, source, jobs=2)
+        assert json.dumps(one.to_dict()) == json.dumps(two.to_dict())
+        if claim == "strict-iteration-gap":
+            assert one.counterexamples_total == 25
 
 
 class TestExistenceClaims:
