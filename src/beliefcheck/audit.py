@@ -8,11 +8,12 @@ deterministic: the same claim and source always give the same result,
 including the serialized violation and counterexample listings, and
 the instance stream is index-addressable so runs parallelize into
 ordered chunks with a deterministic merge. The exhaustive streams and
-the sampled pair stream are swept without building each instance. A
-pair claim reads each player's operator through one per-operator fact,
-so the exhaustive Kripke pair stream decides the fact of each of its
-(2^n)^n operators once and tallies every pair from two facts, and the
-sampled pair stream decides it once per distinct drawn table. In the exhaustive game stream each
+the sampled pair stream on up to three states are swept without
+building each instance. A pair claim reads each player's operator
+through one per-operator fact, so the exhaustive Kripke pair stream
+decides the fact of each of its (2^n)^n operators once and tallies
+every pair from two facts, and the sampled pair stream decides it once
+per distinct drawn table. In the exhaustive game stream each
 run of 81 consecutive instances shares one belief model and one
 strategy profile, and a claim decides a whole block at once from each
 player's own game pattern. Generated pair instances have exactly two
@@ -31,7 +32,6 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .core import (
-    TABLE_LIMIT,
     Axiom,
     BeliefModel,
     BeliefOperator,
@@ -67,21 +67,16 @@ EXHAUSTIVE_STATE_LIMIT = 3
 _GAME_PROFILE_LIMIT = 4096
 _ACTION_NAMES = "abcdefghij"  # of a sampled game; their count caps its actions
 MODES = ("exhaustive-kripke", "sampled-monotone", "exhaustive-games", "from-files")
-# per arena, the source modes a claim's sweep decides; any other source
-# runs the per-instance check
+# per arena, the source modes a claim's sweep decides, on at most
+# EXHAUSTIVE_STATE_LIMIT states; any other source runs the per-instance
+# check. A sampled sweep interns its drawn tables, which repeat on three
+# states (8,000 monotone tables), but past that nearly every draw is new
 _SWEPT_MODES = {
     "pair": ("exhaustive-kripke", "sampled-monotone"),
     "game": ("exhaustive-games",),
 }
 # the players of a sampled operator or pair instance, one draw each
 _SAMPLED_PLAYERS = {"operator": ("i",), "pair": ("i", "j")}
-# A sampled pair sweep interns the tables it draws, and the tallies memo
-# what depends on the mutual table. Three states have 8,000 monotone
-# tables, so those stores never pass 24,512 keys, but past a few states
-# nearly every draw is new and they would grow with the count. So one
-# call empties them whenever their keys times 2^n pass this bound,
-# which on three states is 32,768 keys.
-_POOL_ENTRIES = 1 << 18
 VIOLATION_CAP = 5
 
 # ordinal content of a 2x2 game, per player: the sign of the own-action
@@ -781,12 +776,11 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
     each into its table without building an operator, the Kripke ones
     through a dict keyed by the possible-set tuple. Its sweep interns the
     facts by table in a pool, so a fact is decided once per distinct
-    table, on the operator of the first draw with that table; a draw
-    before lo only advances the stream. Every tally takes a memo of what
-    depends only on the mutual table. A sweep keeps one for the whole
-    call (at most 512 mutual tables for three-state Kripke pairs; see
-    _POOL_ENTRIES for sampled ones) and drops it and the pool
-    at the end, so that a rebound callee is seen by the next call."""
+    table; a draw before lo only advances the stream. Every tally takes
+    a memo of what depends only on the mutual table. A sweep keeps one
+    for the whole call (at most 512 mutual tables for three-state Kripke
+    pairs, 8,000 for sampled ones) and drops it and the pool at the end,
+    so that a rebound callee is seen by the next call."""
 
     def check(model: BeliefModel, acc: _Acc) -> None:
         facts = [fact(op) for op in model.operators.values()]
@@ -803,11 +797,7 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
                 a, b = divmod(index, corr_count)
                 tally(space, partial(_kripke_pair, n, a, b), (facts[a], facts[b]), acc, memo)
             return
-        if n > TABLE_LIMIT:
-            # as the first drawn operator's fact would: every fact reads the table
-            raise ValueError("state space too large for explicit event tables")
         pool, kripke = {}, {}
-        keys = _POOL_ENTRIES // space.size
 
         def fact_of(spec):
             if isinstance(spec, tuple):
@@ -817,7 +807,7 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
             else:
                 table = monotone_closure_table(spec, n)
             if table not in pool:
-                pool[table] = fact(_operator_of(space, spec))
+                pool[table] = fact(BeliefOperator(space, _table=table))
             return pool[table]
 
         rng = random.Random(source.seed)
@@ -825,9 +815,6 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
             specs = (_draw_spec(rng, space), _draw_spec(rng, space))
             if index < lo:
                 continue
-            if len(pool) + len(kripke) + len(memo) > keys:
-                for store in (pool, kripke, memo):
-                    store.clear()
             model = partial(_drawn_model, space, _SAMPLED_PLAYERS["pair"], specs)
             tally(space, model, (fact_of(specs[0]), fact_of(specs[1])), acc, memo)
 
@@ -1545,7 +1532,11 @@ def resolve_claim(claim: str) -> ClaimSpec:
 def _run_range(claim_id: str, source: ModelSource, lo: int, hi: int, cap: int) -> _Acc:
     spec = resolve_claim(claim_id)
     acc = _Acc(spec.directions, cap)
-    if spec.sweep is not None and source.mode in _SWEPT_MODES.get(spec.arena, ()):
+    if (
+        spec.sweep is not None
+        and source.mode in _SWEPT_MODES.get(spec.arena, ())
+        and source.n_states <= EXHAUSTIVE_STATE_LIMIT
+    ):
         spec.sweep(source, lo, hi, acc)
     else:
         for instance in _instances(spec.arena, source, lo, hi):

@@ -792,27 +792,17 @@ class TestSampledPairSweeps:
     def test_common_table_is_decided_once_per_mutual_table(self, monkeypatch, claim):
         _assert_common_table_once(monkeypatch, claim, self.SRC)
 
-    @pytest.mark.parametrize("claim", ["strict-iteration-gap", "thm1-2", "prop4-1b"])
-    def test_emptied_stores_give_the_same_report(self, monkeypatch, claim):
-        # a pool of at most eight three-state tables is emptied over and
-        # over within one call; facts and memo entries are pure functions
-        # of their keys, so only the work repeats
-        lo, hi = SAMPLED_PAIR_SLICES[-1][1:]
-        full = _blocked(claim, self.SRC, lo, hi, 40)
-        monkeypatch.setattr("beliefcheck.audit._POOL_ENTRIES", 64)
-        assert _blocked(claim, self.SRC, lo, hi, 40) == full
+    def test_larger_spaces_run_the_per_instance_check(self, monkeypatch):
+        # past three states draws rarely repeat, so no table pool is kept
+        src = ModelSource(mode="sampled-monotone", n_states=4, seed=0, count=60)
+        reference = _pair_reference("thm1-2", src, 0, 60, 5)
 
-    def test_large_spaces_are_refused_before_a_table_is_built(self, monkeypatch):
-        # every pair fact reads the operator's table, which a space past
-        # TABLE_LIMIT states does not have
         def no_table(*args):
-            raise AssertionError("built a table")
+            raise AssertionError("swept")
 
         monkeypatch.setattr("beliefcheck.audit.kripke_table", no_table)
         monkeypatch.setattr("beliefcheck.audit.monotone_closure_table", no_table)
-        src = ModelSource(mode="sampled-monotone", n_states=17, count=3)
-        with pytest.raises(ValueError, match="too large for explicit event tables"):
-            audit("thm1-2", src)
+        assert _blocked("thm1-2", src, 0, 60, 5) == reference
 
     def test_draws_before_the_slice_only_advance_the_stream(self, monkeypatch):
         import beliefcheck.audit as audit_module
@@ -828,18 +818,15 @@ class TestSampledPairSweeps:
                 name,
                 lambda *args, real=real, name=name: built.append((name, args)) or real(*args),
             )
-        # thm1-2 has no violation here, so no listing builds an operator:
-        # the pool builds one per distinct table of the slice
+        # thm1-2 has no violation here, so no listing builds a drawn
+        # operator: the slice's specs become tables and nothing more
         acc = _run_range(resolve_claim("thm1-2").canonical, self.SRC, lo, hi, 5)
         assert acc.instances == hi - lo and acc.violations_total == 0
         kripke = [args[0] for name, args in built if name == "kripke_table"]
         closures = [args[0] for name, args in built if name == "monotone_closure_table"]
-        operators = [args[1] for name, args in built if name == "_operator_of"]
         assert kripke == list(dict.fromkeys(s for s in specs if isinstance(s, tuple)))
         assert closures == [s for s in specs if isinstance(s, dict)]
-        assert all(spec in specs for spec in operators)
-        tables = {_operator_of(standard_space(3), spec).table() for spec in specs}
-        assert len(operators) == len(tables) < len(specs)
+        assert not any(name == "_operator_of" for name, _ in built)
 
     @pytest.mark.parametrize(
         "claim,source",
