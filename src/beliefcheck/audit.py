@@ -8,12 +8,12 @@ deterministic: the same claim and source always give the same result,
 including the serialized violation and counterexample listings, and
 the instance stream is index-addressable so runs parallelize into
 ordered chunks with a deterministic merge. The exhaustive streams and
-the sampled pair stream on up to three states are swept without
-building each instance. A pair claim reads each player's operator
-through one per-operator fact, so the exhaustive Kripke pair stream
-decides the fact of each of its (2^n)^n operators once and tallies
-every pair from two facts, and the sampled pair stream decides it once
-per distinct drawn table. In the exhaustive game stream each
+the sampled operator and pair streams on up to three states are swept
+without building each instance. An operator or pair claim reads each
+player's operator through one per-operator fact, so the exhaustive
+Kripke streams decide the fact of each of the (2^n)^n operators once
+and tally every instance from its facts, and the sampled streams
+decide it once per distinct drawn table. In the exhaustive game stream each
 run of 81 consecutive instances shares one belief model and one
 strategy profile, and a claim decides a whole block at once from each
 player's own game pattern. Generated pair instances have exactly two
@@ -50,7 +50,7 @@ from .dsl import parse_model_spec, serialize_model
 from .games import Game, GameModel, correct_belief_chain
 from .games import introspective_correct_belief_chain, self_evident_rationality_chain
 from .games import maximal_trace, rationality_event, survival_bits
-from .informativeness import check_certainty_compatibility
+from .informativeness import compatible_with_informativeness
 from .qualitative import (
     FamilyKind,
     negative_access_bits,
@@ -58,8 +58,11 @@ from .qualitative import (
     type_mapping_of,
     type_signal,
 )
-from .signals import Signal, certain_of, unbelieved_bits
+from .signals import Signal, unbelieved_bits
+from . import signals
 
+# read by the benchmark's tracer test, which checks that tracing restores it
+certain_of = signals.certain_of
 EXHAUSTIVE_STATE_LIMIT = 3
 # A sampled game instance builds every action profile, n_actions **
 # n_players of them; past this many one instance costs seconds and
@@ -72,11 +75,12 @@ MODES = ("exhaustive-kripke", "sampled-monotone", "exhaustive-games", "from-file
 # check. A sampled sweep interns its drawn tables, which repeat on three
 # states (8,000 monotone tables), but past that nearly every draw is new
 _SWEPT_MODES = {
+    "operator": ("exhaustive-kripke", "sampled-monotone"),
     "pair": ("exhaustive-kripke", "sampled-monotone"),
     "game": ("exhaustive-games",),
 }
-# the players of a sampled operator or pair instance, one draw each
-_SAMPLED_PLAYERS = {"operator": ("i",), "pair": ("i", "j")}
+# the players of a generated operator or pair instance, one operator each
+_PLAYERS = {"operator": ("i",), "pair": ("i", "j")}
 VIOLATION_CAP = 5
 
 # ordinal content of a 2x2 game, per player: the sign of the own-action
@@ -166,6 +170,14 @@ def _kripke_op_at(n: int, index: int, owner: str) -> BeliefOperator:
     return BeliefOperator.from_correspondence(
         _correspondence_at(space, index), owner=owner
     )
+
+
+def _kripke_model(n: int, players: tuple[str, ...], index: int) -> BeliefModel:
+    """Instance `index` of the exhaustive Kripke stream of one or two
+    players; pair a * (2^n)^n + b has operators a and b."""
+    space = standard_space(n)
+    digits = divmod(index, space.size**n) if len(players) == 2 else (index,)
+    return BeliefModel(space, {p: _kripke_op_at(n, k, p) for p, k in zip(players, digits)})
 
 
 def _draw_spec(rng: random.Random, space: StateSpace) -> tuple[int, ...] | dict[int, int]:
@@ -359,13 +371,9 @@ def _instances(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
     n = source.n_states
     space = standard_space(n)
     if source.mode == "exhaustive-kripke":
-        # pair audits run their sweeps; this stream is their tested reference
-        corr_count = space.size**n
+        # audits run the sweeps; this stream is their tested reference
         for index in range(lo, hi):
-            if arena == "operator":
-                yield BeliefModel(space, {"i": _kripke_op_at(n, index, "i")})
-            else:
-                yield _kripke_pair(n, *divmod(index, corr_count))
+            yield _kripke_model(n, _PLAYERS[arena], index)
         return
     if source.mode == "exhaustive-games":
         # audits run the sweeps; this stream is their tested reference
@@ -373,10 +381,10 @@ def _instances(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
             for g in games:
                 yield GameModel(belief, _pattern_game(g), rows)
         return
-    # pair audits run their sweeps; this stream is their tested reference.
-    # A draw before lo only advances the stream.
+    # audits on up to three states run the sweeps; this stream is their
+    # tested reference. A draw before lo only advances the stream.
     rng = random.Random(source.seed)
-    players = _SAMPLED_PLAYERS.get(arena)
+    players = _PLAYERS.get(arena)
     for index in range(hi):
         if players is None:
             game = _sampled_game(rng, source)
@@ -565,26 +573,9 @@ def _type_signal_of(op: BeliefOperator, kind: FamilyKind) -> Signal:
     return type_signal(type_mapping_of(op), kind)
 
 
-def _certain_of_type(
-    model: BeliefModel, observer: str, subject: str, kind: FamilyKind
-) -> bool:
-    return certain_of(
-        model, observer, _type_signal_of(model.operator(subject), kind)
-    ).holds
-
-
-def _model_text(model: BeliefModel) -> Callable[[], str]:
-    return lambda: serialize_model(model)
-
-
 def _game_text(belief: BeliefModel, game: Game, rows) -> Callable[[], str]:
     # the game model is built only when a listing is rendered
     return lambda: serialize_model(game_model=GameModel(belief, game, rows))
-
-
-def _single(model: BeliefModel) -> tuple[str, BeliefOperator]:
-    p = model.players[0]
-    return p, model.operator(p)
 
 
 def _all_hold(op: BeliefOperator, axioms: tuple[Axiom, ...]) -> bool:
@@ -648,13 +639,6 @@ def _uncovered_signals(space: StateSpace) -> tuple[Signal, ...]:
     return tuple(signals)
 
 
-def _check_compatibility_chain(model: BeliefModel, acc: _Acc) -> None:
-    p, _ = _single(model)
-    acc.add_instance()
-    report = check_certainty_compatibility(model, p)
-    acc.record("implication", report.status, _model_text(model))
-
-
 # Claim shapes. Each factory builds the checks of one family of claims
 # that differ only in their parameters. Callees in other layers (the
 # access checks and the chains) are named, and looked up in this
@@ -662,84 +646,25 @@ def _check_compatibility_chain(model: BeliefModel, acc: _Acc) -> None:
 # attribute (a tracer, a test's monkeypatch) reaches every built check.
 
 
-def _frame_check(axiom: Axiom, prop: FrameProperty):
-    def check(model: BeliefModel, acc: _Acc) -> None:
-        _, op = _single(model)
-        acc.add_instance()
-        if not op.has_correspondence():
-            # table-built operators carry no frame to compare against
-            acc.vacuous()
-            return
-        acc.biconditional(
-            _holds(op, axiom),
-            correspondence_property(op.derive_correspondence(), prop),
-            _model_text(model),
-        )
-
-    return check
+# Operator and pair claims. Each is a per-operator fact, which reads
+# only that player's operator (its table, the axiom bits the claim is
+# gated on, its type signals, its certainty of a signal battery), and a
+# tally, tally(space, model, facts, acc, memo), which records the
+# instance, or one instance per battery signal, from the players'
+# facts; an operator claim's tally reads the first player's only.
+# `model` builds the instance and is called only to render a listing,
+# and `memo` holds what depends only on the mutual-belief table. A fact
+# is a function of the operator's table alone, so a sweep decides it
+# once per distinct table; a tally decides the rest (mutual and common
+# belief, access, certainty) on integer tables. A frame fact reads the
+# correspondence too, so frame claims take no sampled source.
 
 
-def _own_type_check(
-    kind: FamilyKind,
-    conclusion: tuple[Axiom, ...],
-    gate: tuple[Axiom, ...] = (),
-    iff: bool = True,
-):
-    """Certainty of the player's own type mapping through `kind` against
-    the `conclusion` axioms, on operators satisfying the `gate` axioms."""
-
-    def check(model: BeliefModel, acc: _Acc) -> None:
-        p, op = _single(model)
-        acc.add_instance()
-        left = _certain_of_type(model, p, p, kind)
-        right = _all_hold(op, conclusion)
-        text = _model_text(model)
-        if iff:
-            acc.biconditional(left, right, text, _all_hold(op, gate))
-        else:
-            acc.implication("implication", left and _all_hold(op, gate), right, text)
-
-    return check
-
-
-def _axiom_implication_check(premise: tuple[Axiom, ...], conclusion: tuple[Axiom, ...]):
-    def check(model: BeliefModel, acc: _Acc) -> None:
-        _, op = _single(model)
-        acc.add_instance()
-        acc.implication(
-            "implication",
-            _all_hold(op, premise),
-            _all_hold(op, conclusion),
-            _model_text(model),
-        )
-
-    return check
-
-
-# Pair claims. Each is a per-operator fact, which reads only that
-# player's operator (its table, the axiom bits the claim is gated on,
-# its type signals, its certainty of a signal battery), and a tally,
-# tally(space, model, facts, acc, memo), which records the instance, or
-# one instance per battery signal, from every player's fact; `model`
-# builds the instance and is called only to render a listing, and
-# `memo` holds what depends only on the mutual-belief table. A fact is
-# a function of the operator's table alone, so a sweep decides it once
-# per distinct table; a tally decides the rest (mutual and common
-# belief, access, certainty) on integer tables.
-
-
-def _pair_text(
+def _instance_text(
     model: Callable[[], BeliefModel], signals: tuple[Signal, ...] = ()
 ) -> Callable[[], str]:
     # the model is built only when a listing is rendered
     return lambda: serialize_model(model(), signals=signals)
-
-
-def _kripke_pair(n: int, a: int, b: int) -> BeliefModel:
-    """Instance a * (2^n)^n + b of the exhaustive Kripke pair stream."""
-    return BeliefModel(
-        standard_space(n), {"i": _kripke_op_at(n, a, "i"), "j": _kripke_op_at(n, b, "j")}
-    )
 
 
 def _observer_subject(facts):
@@ -764,23 +689,27 @@ def _mutual_and_common(tables, memo: dict) -> tuple[tuple[int, ...], tuple[int, 
     return mutual, memo[mutual]
 
 
-def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
-    """The per-instance check and the sweep of one pair claim, as
-    ClaimSpec keyword arguments.
+def _table_claim(
+    players: tuple[str, ...], fact: Callable, tally: Callable
+) -> dict[str, Callable]:
+    """The per-instance check and the sweep of one operator or pair
+    claim, as ClaimSpec keyword arguments; a generated instance holds
+    one operator per player.
 
-    The exhaustive Kripke pair stream on n states pairs each of the
-    (2^n)^n operators with each, the second fastest. So its sweep decides
-    every operator's fact once, and tallies instance (a, b) =
-    divmod(index, (2^n)^n) from (facts[a], facts[b]) without building its
-    belief model. The sampled stream replays the draws as specs and turns
-    each into its table without building an operator, the Kripke ones
-    through a dict keyed by the possible-set tuple. Its sweep interns the
-    facts by table in a pool, so a fact is decided once per distinct
-    table; a draw before lo only advances the stream. Every tally takes
-    a memo of what depends only on the mutual table. A sweep keeps one
-    for the whole call (at most 512 mutual tables for three-state Kripke
-    pairs, 8,000 for sampled ones) and drops it and the pool at the end,
-    so that a rebound callee is seen by the next call."""
+    The exhaustive Kripke stream on n states holds each of the (2^n)^n
+    operators, or each pair of them, the second varying fastest. Its
+    sweep decides each operator's fact once, on the correspondence-built
+    operator, and tallies an instance from its facts without building
+    its belief model. The sampled stream replays the draws as specs and
+    turns each into its table without building an operator, the Kripke
+    ones through a dict keyed by the possible-set tuple. Its sweep
+    interns the facts by table in a pool, so a fact is decided once per
+    distinct table; a draw before lo only advances the stream. Every
+    tally takes a memo of what depends only on the mutual table. A sweep
+    keeps one for the whole call (at most 512 mutual tables for
+    three-state Kripke pairs, 8,000 for sampled ones) and drops it and
+    the pool at the end, so that a rebound callee is seen by the next
+    call."""
 
     def check(model: BeliefModel, acc: _Acc) -> None:
         facts = [fact(op) for op in model.operators.values()]
@@ -791,11 +720,17 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
         space = standard_space(n)
         memo = {}
         if source.mode == "exhaustive-kripke":
+            if len(players) == 1:
+                for index in range(lo, hi):
+                    model = partial(_kripke_model, n, players, index)
+                    tally(space, model, (fact(_kripke_op_at(n, index, "i")),), acc, memo)
+                return
             corr_count = space.size**n
             facts = [fact(_kripke_op_at(n, k, "i")) for k in range(corr_count)]
             for index in range(lo, hi):
                 a, b = divmod(index, corr_count)
-                tally(space, partial(_kripke_pair, n, a, b), (facts[a], facts[b]), acc, memo)
+                model = partial(_kripke_model, n, players, index)
+                tally(space, model, (facts[a], facts[b]), acc, memo)
             return
         pool, kripke = {}, {}
 
@@ -812,13 +747,91 @@ def _pair_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
 
         rng = random.Random(source.seed)
         for index in range(hi):
-            specs = (_draw_spec(rng, space), _draw_spec(rng, space))
+            specs = [_draw_spec(rng, space) for _ in players]
             if index < lo:
                 continue
-            model = partial(_drawn_model, space, _SAMPLED_PLAYERS["pair"], specs)
-            tally(space, model, (fact_of(specs[0]), fact_of(specs[1])), acc, memo)
+            model = partial(_drawn_model, space, players, specs)
+            tally(space, model, [fact_of(spec) for spec in specs], acc, memo)
 
     return {"check": check, "sweep": sweep}
+
+
+_operator_claim = partial(_table_claim, _PLAYERS["operator"])
+_pair_claim = partial(_table_claim, _PLAYERS["pair"])
+
+
+def _frame_claim(axiom: Axiom, prop: FrameProperty) -> dict[str, Callable]:
+    """The axiom against the frame property of the operator's
+    correspondence, on operators that have one: a table-built operator
+    carries no frame to compare against."""
+
+    def fact(op: BeliefOperator):
+        if not op.has_correspondence():
+            return False, False, False
+        frame = correspondence_property(op.derive_correspondence(), prop)
+        return True, _holds(op, axiom), frame
+
+    return _operator_claim(fact, _iff_tally)
+
+
+def _own_type_claim(
+    kind: FamilyKind,
+    conclusion: tuple[Axiom, ...],
+    gate: tuple[Axiom, ...] = (),
+    iff: bool = True,
+) -> dict[str, Callable]:
+    """Certainty of the player's own type mapping through `kind` against
+    the `conclusion` axioms, on operators satisfying the `gate` axioms."""
+
+    def fact(op: BeliefOperator):
+        certain = _certain_on(op.table(), (_type_signal_of(op, kind),))
+        return _all_hold(op, gate), certain, _all_hold(op, conclusion)
+
+    return _operator_claim(fact, _iff_tally if iff else _implication_tally)
+
+
+def _axiom_implication_claim(
+    premise: tuple[Axiom, ...], conclusion: tuple[Axiom, ...]
+) -> dict[str, Callable]:
+    fact = lambda op: (True, _all_hold(op, premise), _all_hold(op, conclusion))
+    return _operator_claim(fact, _implication_tally)
+
+
+def _compatibility_fact(op: BeliefOperator):
+    """Consistency and Finite Conjunction, certainty of the own type
+    mapping through upward sets, and compatibility with informativeness."""
+    gate = _all_hold(op, (Axiom.CONSISTENCY, Axiom.FINITE_CONJUNCTION))
+    certain = _certain_on(op.table(), (_type_signal_of(op, FamilyKind.UPWARD),))
+    return gate, certain, compatible_with_informativeness(op).holds
+
+
+def _beta_not_negbeta_fact(op: BeliefOperator) -> bool:
+    table = op.table()
+    return (
+        _holds(op, Axiom.POSITIVE_INTROSPECTION)
+        and not _holds(op, Axiom.NEGATIVE_INTROSPECTION)
+        and _certain_on(table, (_type_signal_of(op, FamilyKind.BETA),))
+        and not _certain_on(table, (_type_signal_of(op, FamilyKind.NEG_BETA),))
+    )
+
+
+def _iff_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
+    """Left iff right past the gate: the first player's (gate, left, right) fact."""
+    gate, left, right = facts[0]
+    acc.add_instance()
+    acc.biconditional(left, right, _instance_text(model), gate)
+
+
+def _implication_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
+    """Gate and left imply right: the first player's (gate, left, right) fact."""
+    gate, left, right = facts[0]
+    acc.add_instance()
+    acc.implication("implication", gate and left, right, _instance_text(model))
+
+
+def _witness_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
+    acc.add_instance()
+    acc.exists(facts[0], _instance_text(model))
 
 
 def _cross_type_claim(
@@ -839,7 +852,7 @@ def _cross_type_claim(
         acc.add_instance()
         left = _certain_on(observer, (sig,))
         right = not any(any(globals()[name](observer, subject)) for name in access)
-        text = _pair_text(model)
+        text = _instance_text(model)
         if iff:
             acc.biconditional(left, right, text, gated)
         else:
@@ -871,7 +884,7 @@ def _truthful_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     right = all(a == b for a, b in itertools.combinations(tables, 2)) and all(
         introspective for _, _, introspective in facts
     )
-    text = _pair_text(model)
+    text = _instance_text(model)
     acc.biconditional(left, right, text)
     acc.implication("in-particular", left, left and all(t == common for t in tables), text)
 
@@ -896,7 +909,7 @@ def _common_access_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
         not any(positive_access_bits(common, t)) and not any(negative_access_bits(common, t))
         for t in tables
     )
-    text = _pair_text(model)
+    text = _instance_text(model)
     acc.biconditional(left, right, text)
     acc.implication("in-particular", left, left and common == mutual, text)
 
@@ -907,7 +920,7 @@ def _converse_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     if found:
         mutual, common = _mutual_and_common([table for table, _ in facts], memo)
         found = common == mutual and not _certain_on(common, [sig for _, sig in facts])
-    acc.exists(found, _pair_text(model))
+    acc.exists(found, _instance_text(model))
 
 
 def _common_and_iterated(tables, memo: dict) -> list[tuple[int, int]]:
@@ -935,7 +948,7 @@ def _iteration_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     pairs = _common_and_iterated([table for table, _ in facts], memo)
     contained = all(not common & ~stab for common, stab in pairs)
     equal = all(common == stab for common, stab in pairs)
-    text = _pair_text(model)
+    text = _instance_text(model)
     acc.implication("contained-in-iteration", True, contained, text)
     acc.implication(
         "equals-at-stabilization", all(conj for _, conj in facts), equal, text
@@ -949,7 +962,7 @@ def _iteration_gap_tally(space, model, tables, acc: _Acc, memo: dict) -> None:
             common != stab and not common & ~stab
             for common, stab in _common_and_iterated(tables, memo)
         ),
-        _pair_text(model),
+        _instance_text(model),
     )
 
 
@@ -989,7 +1002,7 @@ def _transfer_claim(direction: str, battery: Callable) -> dict[str, Callable]:
         for sig, live, transferred in zip(signals, certain_i, certain_j):
             acc.add_instance()
             if live:
-                acc.implication(direction, True, transferred, _pair_text(model, (sig,)))
+                acc.implication(direction, True, transferred, _instance_text(model, (sig,)))
             else:
                 acc.record(direction, "vacuous")
 
@@ -1010,7 +1023,7 @@ def _shared_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
         return
     for sig, left, right in zip(_transfer_signals(space), certain_i, certain_j):
         acc.add_instance()
-        acc.implication("implication", True, left == right, _pair_text(model, (sig,)))
+        acc.implication("implication", True, left == right, _instance_text(model, (sig,)))
 
 
 # Game claims. Each is a per-player fact, which reads only that
@@ -1112,18 +1125,6 @@ def _game_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
     return {"check": check, "sweep": sweep}
 
 
-def _check_beta_not_negbeta_exists(model: BeliefModel, acc: _Acc) -> None:
-    p, op = _single(model)
-    acc.add_instance()
-    acc.exists(
-        _holds(op, Axiom.POSITIVE_INTROSPECTION)
-        and not _holds(op, Axiom.NEGATIVE_INTROSPECTION)
-        and _certain_of_type(model, p, p, FamilyKind.BETA)
-        and not _certain_of_type(model, p, p, FamilyKind.NEG_BETA),
-        _model_text(model),
-    )
-
-
 # ---------------------------------------------------------------------------
 # claim registry
 
@@ -1140,15 +1141,15 @@ class ClaimSpec:
     summary: str
     directions: tuple[str, ...]
     check: Callable
+    # sweep(source, lo, hi, acc) of instances [lo, hi) of a generated
+    # source (_SWEPT_MODES), making the calls on acc that `check` makes
+    # per instance
+    sweep: Callable
     modes: tuple[str, ...] = (
         "exhaustive-kripke",
         "sampled-monotone",
         "from-files",
     )
-    # sweep(source, lo, hi, acc) of instances [lo, hi) of a generated
-    # source (_SWEPT_MODES), making the calls on acc that `check` makes
-    # per instance
-    sweep: Callable | None = None
 
 
 _IFF = ("forward", "backward")
@@ -1167,7 +1168,7 @@ _CLAIMS = (
         "certainty of the own type mapping through believed-event sets "
         "is equivalent to Positive Introspection",
         _IFF,
-        _own_type_check(FamilyKind.BETA, (Axiom.POSITIVE_INTROSPECTION,)),
+        **_own_type_claim(FamilyKind.BETA, (Axiom.POSITIVE_INTROSPECTION,)),
     ),
     ClaimSpec(
         "own-negbeta-certainty-iff-negative-introspection",
@@ -1177,7 +1178,7 @@ _CLAIMS = (
         "certainty through complements of believed-event sets is "
         "equivalent to Negative Introspection",
         _IFF,
-        _own_type_check(FamilyKind.NEG_BETA, (Axiom.NEGATIVE_INTROSPECTION,)),
+        **_own_type_claim(FamilyKind.NEG_BETA, (Axiom.NEGATIVE_INTROSPECTION,)),
     ),
     ClaimSpec(
         "own-type-certainty-implies-introspection",
@@ -1187,7 +1188,7 @@ _CLAIMS = (
         "certainty of the own type mapping on atoms implies both "
         "introspection properties",
         ("implication",),
-        _own_type_check(FamilyKind.SIGMA_ATOMS, _INTROSPECTION, iff=False),
+        **_own_type_claim(FamilyKind.SIGMA_ATOMS, _INTROSPECTION, iff=False),
     ),
     ClaimSpec(
         "truthful-own-type-certainty-iff-negative-introspection",
@@ -1197,7 +1198,7 @@ _CLAIMS = (
         "under the Truth Axiom, certainty of the own type mapping on "
         "atoms is equivalent to Negative Introspection",
         _IFF,
-        _own_type_check(
+        **_own_type_claim(
             FamilyKind.SIGMA_ATOMS, (Axiom.NEGATIVE_INTROSPECTION,), gate=(Axiom.TRUTH,)
         ),
     ),
@@ -1209,7 +1210,7 @@ _CLAIMS = (
         "under Consistency and Countable Conjunction, certainty of the "
         "own type mapping on atoms is equivalent to both introspections",
         _IFF,
-        _own_type_check(FamilyKind.SIGMA_ATOMS, _INTROSPECTION, gate=_CONJUNCTIVE),
+        **_own_type_claim(FamilyKind.SIGMA_ATOMS, _INTROSPECTION, gate=_CONJUNCTIVE),
     ),
     ClaimSpec(
         "cross-beta-certainty-iff-positive-access",
@@ -1335,7 +1336,7 @@ _CLAIMS = (
         "a consistent, conjunctive player certain of the upward sets of "
         "own types is compatible with informativeness",
         ("implication",),
-        _check_compatibility_chain,
+        **_operator_claim(_compatibility_fact, _implication_tally),
     ),
     ClaimSpec(
         "certain-compatible-conjunctive-players-believe-own-rationality",
@@ -1391,7 +1392,7 @@ _CLAIMS = (
         "theorem",
         "the Truth Axiom implies Consistency",
         ("implication",),
-        _axiom_implication_check((Axiom.TRUTH,), (Axiom.CONSISTENCY,)),
+        **_axiom_implication_claim((Axiom.TRUTH,), (Axiom.CONSISTENCY,)),
     ),
     ClaimSpec(
         "truth-and-negative-introspection-imply-positive",
@@ -1401,7 +1402,7 @@ _CLAIMS = (
         "the Truth Axiom with Negative Introspection implies Positive "
         "Introspection",
         ("implication",),
-        _axiom_implication_check(_TRUTH_NI, (Axiom.POSITIVE_INTROSPECTION,)),
+        **_axiom_implication_claim(_TRUTH_NI, (Axiom.POSITIVE_INTROSPECTION,)),
     ),
     ClaimSpec(
         "truth-and-negative-introspection-imply-conjunction",
@@ -1411,7 +1412,7 @@ _CLAIMS = (
         "the Truth Axiom with Negative Introspection implies both "
         "conjunction axioms",
         ("implication",),
-        _axiom_implication_check(
+        **_axiom_implication_claim(
             _TRUTH_NI, (Axiom.FINITE_CONJUNCTION, Axiom.COUNTABLE_CONJUNCTION)
         ),
     ),
@@ -1423,7 +1424,7 @@ _CLAIMS = (
         "the Kripke property implies Necessitation and both conjunction "
         "axioms",
         ("implication",),
-        _axiom_implication_check(
+        **_axiom_implication_claim(
             (Axiom.KRIPKE,),
             (Axiom.NECESSITATION, Axiom.FINITE_CONJUNCTION, Axiom.COUNTABLE_CONJUNCTION),
         ),
@@ -1436,8 +1437,8 @@ _CLAIMS = (
         "on correspondence-built operators Consistency is equivalent to "
         "a serial frame",
         _IFF,
-        _frame_check(Axiom.CONSISTENCY, FrameProperty.SERIAL),
-        ("exhaustive-kripke", "from-files"),
+        modes=("exhaustive-kripke", "from-files"),
+        **_frame_claim(Axiom.CONSISTENCY, FrameProperty.SERIAL),
     ),
     ClaimSpec(
         "truth-iff-reflexive",
@@ -1447,8 +1448,8 @@ _CLAIMS = (
         "on correspondence-built operators the Truth Axiom is "
         "equivalent to a reflexive frame",
         _IFF,
-        _frame_check(Axiom.TRUTH, FrameProperty.REFLEXIVE),
-        ("exhaustive-kripke", "from-files"),
+        modes=("exhaustive-kripke", "from-files"),
+        **_frame_claim(Axiom.TRUTH, FrameProperty.REFLEXIVE),
     ),
     ClaimSpec(
         "positive-introspection-iff-transitive",
@@ -1458,8 +1459,8 @@ _CLAIMS = (
         "on correspondence-built operators Positive Introspection is "
         "equivalent to a transitive frame",
         _IFF,
-        _frame_check(Axiom.POSITIVE_INTROSPECTION, FrameProperty.TRANSITIVE),
-        ("exhaustive-kripke", "from-files"),
+        modes=("exhaustive-kripke", "from-files"),
+        **_frame_claim(Axiom.POSITIVE_INTROSPECTION, FrameProperty.TRANSITIVE),
     ),
     ClaimSpec(
         "negative-introspection-iff-euclidean",
@@ -1469,8 +1470,8 @@ _CLAIMS = (
         "on correspondence-built operators Negative Introspection is "
         "equivalent to a euclidean frame",
         _IFF,
-        _frame_check(Axiom.NEGATIVE_INTROSPECTION, FrameProperty.EUCLIDEAN),
-        ("exhaustive-kripke", "from-files"),
+        modes=("exhaustive-kripke", "from-files"),
+        **_frame_claim(Axiom.NEGATIVE_INTROSPECTION, FrameProperty.EUCLIDEAN),
     ),
     ClaimSpec(
         "common-belief-matches-iteration",
@@ -1501,7 +1502,7 @@ _CLAIMS = (
         "a positively but not negatively introspective player can be "
         "certain through believed-event sets yet not their complements",
         ("witness",),
-        _check_beta_not_negbeta_exists,
+        **_operator_claim(_beta_not_negbeta_fact, _witness_tally),
     ),
 )
 
@@ -1532,11 +1533,7 @@ def resolve_claim(claim: str) -> ClaimSpec:
 def _run_range(claim_id: str, source: ModelSource, lo: int, hi: int, cap: int) -> _Acc:
     spec = resolve_claim(claim_id)
     acc = _Acc(spec.directions, cap)
-    if (
-        spec.sweep is not None
-        and source.mode in _SWEPT_MODES.get(spec.arena, ())
-        and source.n_states <= EXHAUSTIVE_STATE_LIMIT
-    ):
+    if source.mode in _SWEPT_MODES[spec.arena] and source.n_states <= EXHAUSTIVE_STATE_LIMIT:
         spec.sweep(source, lo, hi, acc)
     else:
         for instance in _instances(spec.arena, source, lo, hi):

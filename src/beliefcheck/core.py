@@ -684,10 +684,12 @@ def intersect_tables(tables: Iterable[Sequence[int]]) -> tuple[int, ...]:
 
 
 def iterated_mutual_bits(mutual: Sequence[int], event_bits: int, depth: int) -> int:
-    """Intersection of the first `depth` iterates of mutual belief."""
-    cur = mutual[event_bits]
-    acc = cur
+    """Intersection of the first `depth` iterates of mutual belief; it
+    stops changing at the first iterate that is its own image."""
+    cur = acc = mutual[event_bits]
     for _ in range(depth - 1):
+        if mutual[cur] == cur:
+            break
         cur = mutual[cur]
         acc &= cur
     return acc

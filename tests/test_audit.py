@@ -1,6 +1,8 @@
 """Audit harness: instance streams, claim registry, and sweep results."""
 
+import ast
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -50,6 +52,7 @@ from beliefcheck.core import (
     kripke_table,
     monotone_closure_table,
 )
+from beliefcheck.cli import run_cli
 from beliefcheck.dsl import parse_model_spec, serialize_model
 from beliefcheck.games import (
     EliminationTrace,
@@ -284,12 +287,15 @@ class TestRegistry:
 
     def test_exhaustive_pair_claims_are_swept_from_operator_facts(self):
         # without a sweep built from per-operator facts, a three-state
-        # pair sweep would build all 262,144 belief models one by one
-        pairs = [s for s in _CLAIMS if s.arena == "pair" and "exhaustive-kripke" in s.modes]
-        assert len(pairs) == 13
-        for spec in pairs:
-            assert spec.check.__qualname__ == "_pair_claim.<locals>.check"
-            assert spec.sweep.__qualname__ == "_pair_claim.<locals>.sweep"
+        # pair sweep would build all 262,144 belief models one by one;
+        # operator claims share the same fact-and-tally shape
+        tables = [s for s in _CLAIMS if s.arena in ("operator", "pair")]
+        assert len(tables) == 28
+        assert sum(s.arena == "pair" for s in tables) == 13
+        for spec in tables:
+            assert "exhaustive-kripke" in spec.modes
+            assert spec.check.__qualname__ == "_table_claim.<locals>.check"
+            assert spec.sweep.__qualname__ == "_table_claim.<locals>.sweep"
 
     def test_game_claims_skip_operator_sweeps(self):
         for alias in ("thm2", "epistemic-iesda"):
@@ -579,11 +585,11 @@ PAIR_CLAIMS = tuple(
 PAIR_SLICES = ((0, 40), (500, 530), (131_060, 131_100), (262_100, 262_144))
 
 
-def _pair_reference(claim, source, lo, hi, cap):
-    """The per-instance check on every model of the pair stream."""
+def _reference(claim, source, lo, hi, cap):
+    """The per-instance check on every model of the claim's stream."""
     spec = resolve_claim(claim)
     acc = _Acc(spec.directions, cap)
-    for model in _instances("pair", source, lo, hi):
+    for model in _instances(spec.arena, source, lo, hi):
         spec.check(model, acc)
     return _accumulated(acc)
 
@@ -592,8 +598,8 @@ def _pair_reference(claim, source, lo, hi, cap):
 def forced_pair_facts(monkeypatch):
     """Flip, as a function of their inputs alone, about one in five axiom
     verdicts, one in four certainty verdicts and one in six iterated
-    mutual beliefs, so that every pair claim fails or finds witnesses.
-    Tuples of ints hash the same in every process."""
+    mutual beliefs, so that every operator and pair claim fails or finds
+    witnesses. Tuples of ints hash the same in every process."""
     import beliefcheck.audit as audit_module
 
     holds = audit_module._holds
@@ -664,7 +670,7 @@ class TestPairSweeps:
     @pytest.mark.parametrize("claim", PAIR_CLAIMS)
     @pytest.mark.parametrize("lo,hi", PAIR_SLICES)
     def test_sweep_matches_per_instance(self, claim, lo, hi):
-        assert _blocked(claim, self.SRC, lo, hi, 5) == _pair_reference(
+        assert _blocked(claim, self.SRC, lo, hi, 5) == _reference(
             claim, self.SRC, lo, hi, 5
         )
 
@@ -673,7 +679,7 @@ class TestPairSweeps:
     def test_forced_failures_list_alike(self, forced_pair_facts, claim, cap):
         for lo, hi in PAIR_SLICES:
             swept = _blocked(claim, self.SRC, lo, hi, cap)
-            assert swept == _pair_reference(claim, self.SRC, lo, hi, cap), (lo, hi)
+            assert swept == _reference(claim, self.SRC, lo, hi, cap), (lo, hi)
         found = swept["violations_total"] + swept["counterexamples_total"]
         assert found > 0
         listed = swept["violations"] + swept["counterexamples"]
@@ -748,7 +754,7 @@ class TestSampledPairSweeps:
     @pytest.mark.parametrize("claim", SAMPLED_PAIR_CLAIMS)
     @pytest.mark.parametrize("source,lo,hi", SAMPLED_PAIR_SLICES)
     def test_sweep_matches_per_instance(self, claim, source, lo, hi):
-        assert _blocked(claim, source, lo, hi, 5) == _pair_reference(claim, source, lo, hi, 5)
+        assert _blocked(claim, source, lo, hi, 5) == _reference(claim, source, lo, hi, 5)
 
     @pytest.mark.parametrize("cap", [0, 3, 40])
     @pytest.mark.parametrize("claim", SAMPLED_PAIR_CLAIMS)
@@ -757,7 +763,7 @@ class TestSampledPairSweeps:
         found = 0
         for source, lo, hi in SAMPLED_PAIR_SLICES:
             swept = _blocked(claim, source, lo, hi, cap)
-            assert swept == _pair_reference(claim, source, lo, hi, cap), (source, lo, hi)
+            assert swept == _reference(claim, source, lo, hi, cap), (source, lo, hi)
             found_here = swept["violations_total"] + swept["counterexamples_total"]
             listed_here = swept["violations"] + swept["counterexamples"]
             assert len(listed_here) == min(cap, found_here)
@@ -795,7 +801,7 @@ class TestSampledPairSweeps:
     def test_larger_spaces_run_the_per_instance_check(self, monkeypatch):
         # past three states draws rarely repeat, so no table pool is kept
         src = ModelSource(mode="sampled-monotone", n_states=4, seed=0, count=60)
-        reference = _pair_reference("thm1-2", src, 0, 60, 5)
+        reference = _reference("thm1-2", src, 0, 60, 5)
 
         def no_table(*args):
             raise AssertionError("swept")
@@ -844,6 +850,122 @@ class TestSampledPairSweeps:
         assert json.dumps(one.to_dict()) == json.dumps(two.to_dict())
         if claim == "strict-iteration-gap":
             assert one.counterexamples_total == 25
+
+
+OPERATOR_CLAIMS = tuple(spec.canonical for spec in _CLAIMS if spec.arena == "operator")
+# Generated operator sources with slices of their streams. Every slice but
+# the third starts past the stream's start, as a worker chunk does.
+OPERATOR_SLICES = (
+    (ModelSource(mode="exhaustive-kripke", n_states=3), 1, 120),
+    (ModelSource(mode="exhaustive-kripke", n_states=3), 300, 512),
+    (ModelSource(mode="sampled-monotone", n_states=2, seed=3, count=400), 0, 90),
+    (ModelSource(mode="sampled-monotone", n_states=2, seed=3, count=400), 137, 400),
+    (ModelSource(mode="sampled-monotone", n_states=3, seed=0, count=3000), 1, 300),
+    (ModelSource(mode="sampled-monotone", n_states=3, seed=0, count=3000), 2_700, 3_000),
+)
+
+
+def _operator_slices(claim):
+    # frame claims take no sampled source
+    modes = resolve_claim(claim).modes
+    return [(source, lo, hi) for source, lo, hi in OPERATOR_SLICES if source.mode in modes]
+
+
+class TestOperatorSweeps:
+    @pytest.mark.parametrize("claim", OPERATOR_CLAIMS)
+    def test_sweep_matches_per_instance(self, claim):
+        for source, lo, hi in _operator_slices(claim):
+            swept = _blocked(claim, source, lo, hi, 5)
+            assert swept == _reference(claim, source, lo, hi, 5), (source, lo, hi)
+
+    @pytest.mark.parametrize("cap", [0, 3, 40])
+    @pytest.mark.parametrize("claim", OPERATOR_CLAIMS)
+    def test_forced_failures_list_alike(self, forced_pair_facts, claim, cap):
+        listed = []
+        found = 0
+        for source, lo, hi in _operator_slices(claim):
+            swept = _blocked(claim, source, lo, hi, cap)
+            assert swept == _reference(claim, source, lo, hi, cap), (source, lo, hi)
+            found_here = swept["violations_total"] + swept["counterexamples_total"]
+            listed_here = swept["violations"] + swept["counterexamples"]
+            assert len(listed_here) == min(cap, found_here)
+            found += found_here
+            listed += listed_here
+        assert found > 0
+        if cap == 40 and "sampled-monotone" in resolve_claim(claim).modes:
+            # drawn operators list as drawn: kripke blocks and table blocks
+            text = "".join(listed)
+            assert "kripke {" in text and "table {" in text
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ModelSource(mode="exhaustive-kripke", n_states=3),
+            ModelSource(mode="sampled-monotone", n_states=3, seed=0, count=3000),
+        ],
+    )
+    def test_each_table_is_decided_once(self, monkeypatch, source):
+        # the claim's fact reads two axioms; the pool lives for one call
+        import beliefcheck.audit as audit_module
+
+        total = _instance_count("operator", source)
+        drawn = {
+            model.operators["i"].table() for model in _instances("operator", source, 0, total)
+        }
+        calls = []
+        holds = audit_module._holds
+        monkeypatch.setattr(
+            audit_module,
+            "_holds",
+            lambda op, axiom: calls.append((op.table(), axiom)) or holds(op, axiom),
+        )
+        for _ in range(2):
+            calls.clear()
+            assert audit("truth-implies-consistency", source).instances == total
+            assert len(calls) == len(set(calls))
+            assert set(calls) == {(t, a) for t in drawn for a in (Axiom.TRUTH, Axiom.CONSISTENCY)}
+        # every Kripke operator once; sampled draws repeat
+        assert len(drawn) == 512 if source.mode == "exhaustive-kripke" else len(drawn) < total
+
+    def test_parallel_sweep_matches_inline(self):
+        source = ModelSource(mode="sampled-monotone", n_states=3, seed=1, count=3000)
+        one = audit("beta-not-negbeta-exists", source, jobs=1)
+        two = audit("beta-not-negbeta-exists", source, jobs=2)
+        assert json.dumps(one.to_dict()) == json.dumps(two.to_dict())
+        assert one.counterexamples_total > 0
+
+
+class TestOffKripkeCounterexample:
+    """A three-state monotone pair on which remark1-2a, as encoded, fails.
+    The observer satisfies Truth but not Finite Conjunction: at ω1 it
+    believes {ω1, ω2} and {ω1, ω3} but not {ω1}, a preimage of the
+    subject's type mapping there. Both access properties hold."""
+
+    @pytest.fixture
+    def pair_file(self, tmp_path):
+        space = standard_space(3)
+        observer = BeliefOperator.from_table(space, (0, 0, 2, 3, 4, 5, 6, 7), owner="i")
+        subject = BeliefOperator.from_table(space, (0, 0, 0, 4, 0, 0, 0, 5), owner="j")
+        assert observer.check_axiom(Axiom.TRUTH).holds
+        assert not observer.check_axiom(Axiom.FINITE_CONJUNCTION).holds
+        path = tmp_path / "remark1-2a.bm"
+        model = BeliefModel(space, {"i": observer, "j": subject})
+        path.write_text(serialize_model(model), encoding="utf-8")
+        return str(path)
+
+    def test_backward_direction_is_violated(self, pair_file):
+        result = audit("remark1-2a", ModelSource(mode="from-files", files=(pair_file,)))
+        tallies = {d.direction: (d.vacuous, d.confirmed, d.violated) for d in result.directions}
+        assert tallies == {"forward": (1, 0, 0), "backward": (0, 0, 1)}
+        assert not result.passed
+
+    def test_cli_exits_one(self, pair_file, capsys):
+        code = run_cli(["audit", "--claim", "remark1-2a", "--mode", "files", "--file", pair_file])
+        assert code == 1
+        assert "backward: confirmed 0, vacuous 0, violated 1" in capsys.readouterr().out
+
+    def test_conjunctive_variant_passes(self, pair_file):
+        assert audit("remark1-2b", ModelSource(mode="from-files", files=(pair_file,))).passed
 
 
 class TestExistenceClaims:
@@ -972,6 +1094,25 @@ class TestFromFiles:
         assert result.instances == 1
         result = audit("remark1-1a", src)
         assert result.instances == 1
+
+    def test_operator_claims_read_the_first_player(self, model_file, tmp_path):
+        # a two-player file gives each operator claim the report of its
+        # first player alone; the second player alone differs on some
+        model = parse_model_spec(Path(model_file).read_text(encoding="utf-8")).belief_model()
+
+        def alone(player):
+            path = tmp_path / f"{player}.bel"
+            ops = {player: model.operator(player)}
+            path.write_text(serialize_model(BeliefModel(model.space, ops)), encoding="utf-8")
+            return ModelSource(mode="from-files", files=(str(path),))
+
+        both = ModelSource(mode="from-files", files=(model_file,))
+        differ = 0
+        for claim in OPERATOR_CLAIMS:
+            first = audit(claim, alone("i"))
+            assert audit(claim, both).directions == first.directions
+            differ += audit(claim, alone("j")).directions != first.directions
+        assert differ
 
     def test_game_claim_needs_game_block(self, model_file):
         src = ModelSource(mode="from-files", files=(model_file,))
@@ -1239,6 +1380,25 @@ class TestExhaustiveKripkeDigests:
         result = audit(claim, ModelSource(mode="exhaustive-kripke", n_states=3))
         text = json.dumps(result.to_dict(), sort_keys=True, ensure_ascii=False)
         assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_KRIPKE_DIGESTS[claim]
+
+
+class TestBenchmarkCaches:
+    def test_every_cache_the_benchmark_reads_exists(self):
+        # perfbench/child.py reports cache_info() of each (name, module,
+        # attribute) in CACHES after every pass, so a missing one would
+        # fail every benchmark run
+        child = Path(__file__).parent.parent / "perfbench" / "child.py"
+        tree = ast.parse(child.read_text(encoding="utf-8"))
+        caches = next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "CACHES" for t in node.targets)
+        )
+        assert len(caches) == 5
+        for _, module, attribute in caches:
+            cached = getattr(importlib.import_module(f"beliefcheck.{module}"), attribute)
+            assert cached.cache_info().currsize >= 0, (module, attribute)
 
 
 class TestCalleesResolvedAtCallTime:

@@ -23,6 +23,9 @@ from beliefcheck.core import (
     TABLE_LIMIT,
     StateSpace,
     correspondence_property,
+    intersect_tables,
+    iterated_mutual_bits,
+    monotone_closure_table,
     operator_leq,
     operators_equal,
 )
@@ -462,6 +465,30 @@ class TestMutualAndCommonBelief:
     def test_depth_must_be_positive(self, blindspot_model):
         with pytest.raises(ValueError):
             blindspot_model.common_belief_iterated(blindspot_model.space.full, 0)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_iteration_stopped_at_a_fixed_point_matches_every_step(self, n):
+        # seeded monotone tables and the mutual tables of their pairs;
+        # the reference intersects all `depth` iterates
+        rng = random.Random(n)
+        tables = [
+            monotone_closure_table(
+                {rng.randrange(2**n): rng.randrange(2**n) for _ in range(rng.randint(1, n))}, n
+            )
+            for _ in range(6)
+        ]
+        tables += [intersect_tables(pair) for pair in itertools.combinations(tables, 2)]
+        stopped_early = 0
+        for mutual in tables:
+            for depth in (1, 2, 3, 2 * len(mutual) + 1):
+                for e in range(len(mutual)):
+                    cur = acc = mutual[e]
+                    for _ in range(depth - 1):
+                        cur = mutual[cur]
+                        acc &= cur
+                    assert iterated_mutual_bits(mutual, e, depth) == acc, (mutual, e, depth)
+                    stopped_early += depth > 2 and mutual[mutual[e]] == mutual[e]
+        assert stopped_early
 
 
 def reachable_in_one_or_more_steps(possible_sets, start):
