@@ -690,11 +690,16 @@ def _mutual_and_common(tables, memo: dict) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def _table_claim(
-    players: tuple[str, ...], fact: Callable, tally: Callable
-) -> dict[str, Callable]:
-    """The per-instance check and the sweep of one operator or pair
-    claim, as ClaimSpec keyword arguments; a generated instance holds
-    one operator per player.
+    arena: str,
+    fact: Callable,
+    tally: Callable,
+    directions: tuple[str, ...],
+    modes: tuple[str, ...] = ("exhaustive-kripke", "sampled-monotone", "from-files"),
+) -> dict:
+    """The arena, the directions `tally` records, the source modes, the
+    per-instance check and the sweep of one operator or pair claim, as
+    ClaimSpec keyword arguments; a generated instance holds one operator
+    per player.
 
     The exhaustive Kripke stream on n states holds each of the (2^n)^n
     operators, or each pair of them, the second varying fastest. Its
@@ -710,6 +715,7 @@ def _table_claim(
     three-state Kripke pairs, 8,000 for sampled ones) and drops it and
     the pool at the end, so that a rebound callee is seen by the next
     call."""
+    players = _PLAYERS[arena]
 
     def check(model: BeliefModel, acc: _Acc) -> None:
         facts = [fact(op) for op in model.operators.values()]
@@ -753,17 +759,24 @@ def _table_claim(
             model = partial(_drawn_model, space, players, specs)
             tally(space, model, [fact_of(spec) for spec in specs], acc, memo)
 
-    return {"check": check, "sweep": sweep}
+    return {
+        "arena": arena,
+        "directions": directions,
+        "modes": modes,
+        "check": check,
+        "sweep": sweep,
+    }
 
 
-_operator_claim = partial(_table_claim, _PLAYERS["operator"])
-_pair_claim = partial(_table_claim, _PLAYERS["pair"])
+_operator_claim = partial(_table_claim, "operator")
+_pair_claim = partial(_table_claim, "pair")
 
 
-def _frame_claim(axiom: Axiom, prop: FrameProperty) -> dict[str, Callable]:
+def _frame_claim(axiom: Axiom, prop: FrameProperty) -> dict:
     """The axiom against the frame property of the operator's
     correspondence, on operators that have one: a table-built operator
-    carries no frame to compare against."""
+    carries no frame to compare against, and a sampled sweep builds
+    every draw from its table, so sampled sources are refused."""
 
     def fact(op: BeliefOperator):
         if not op.has_correspondence():
@@ -771,7 +784,7 @@ def _frame_claim(axiom: Axiom, prop: FrameProperty) -> dict[str, Callable]:
         frame = correspondence_property(op.derive_correspondence(), prop)
         return True, _holds(op, axiom), frame
 
-    return _operator_claim(fact, _iff_tally)
+    return _operator_claim(fact, _iff_tally, _IFF, ("exhaustive-kripke", "from-files"))
 
 
 def _own_type_claim(
@@ -779,7 +792,7 @@ def _own_type_claim(
     conclusion: tuple[Axiom, ...],
     gate: tuple[Axiom, ...] = (),
     iff: bool = True,
-) -> dict[str, Callable]:
+) -> dict:
     """Certainty of the player's own type mapping through `kind` against
     the `conclusion` axioms, on operators satisfying the `gate` axioms."""
 
@@ -787,14 +800,16 @@ def _own_type_claim(
         certain = _certain_on(op.table(), (_type_signal_of(op, kind),))
         return _all_hold(op, gate), certain, _all_hold(op, conclusion)
 
-    return _operator_claim(fact, _iff_tally if iff else _implication_tally)
+    if iff:
+        return _operator_claim(fact, _iff_tally, _IFF)
+    return _operator_claim(fact, _implication_tally, _IMPLICATION)
 
 
 def _axiom_implication_claim(
     premise: tuple[Axiom, ...], conclusion: tuple[Axiom, ...]
-) -> dict[str, Callable]:
+) -> dict:
     fact = lambda op: (True, _all_hold(op, premise), _all_hold(op, conclusion))
-    return _operator_claim(fact, _implication_tally)
+    return _operator_claim(fact, _implication_tally, _IMPLICATION)
 
 
 def _compatibility_fact(op: BeliefOperator):
@@ -813,6 +828,12 @@ def _beta_not_negbeta_fact(op: BeliefOperator) -> bool:
         and _certain_on(table, (_type_signal_of(op, FamilyKind.BETA),))
         and not _certain_on(table, (_type_signal_of(op, FamilyKind.NEG_BETA),))
     )
+
+
+# the directions each shared tally records
+_IFF = ("forward", "backward")
+_IMPLICATION = ("implication",)
+_WITNESS = ("witness",)
 
 
 def _iff_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
@@ -839,7 +860,7 @@ def _cross_type_claim(
     access: tuple[str, ...],
     gate: tuple[Axiom, ...] = (),
     iff: bool = True,
-) -> dict[str, Callable]:
+) -> dict:
     """The first player's certainty of the second player's type mapping
     through `kind` against the named access tests on their tables, on
     observers satisfying the `gate` axioms."""
@@ -858,7 +879,7 @@ def _cross_type_claim(
         else:
             acc.implication("implication", left and gated, right, text)
 
-    return _pair_claim(fact, tally)
+    return _pair_claim(fact, tally, _IFF if iff else _IMPLICATION)
 
 
 def _truthful_fact(op: BeliefOperator):
@@ -982,7 +1003,7 @@ def _battery_fact(battery: Callable) -> Callable:
     return fact
 
 
-def _transfer_claim(direction: str, battery: Callable) -> dict[str, Callable]:
+def _transfer_claim(direction: str, battery: Callable) -> dict:
     """Certainty of each battery signal passes from the first player to
     the second, when both are consistent and the second is certain of
     the first's type mapping on atoms."""
@@ -1006,7 +1027,7 @@ def _transfer_claim(direction: str, battery: Callable) -> dict[str, Callable]:
             else:
                 acc.record(direction, "vacuous")
 
-    return _pair_claim(_battery_fact(battery), tally)
+    return _pair_claim(_battery_fact(battery), tally, (direction,))
 
 
 def _shared_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
@@ -1084,8 +1105,9 @@ def _survival_tally(
         )
 
 
-def _game_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
-    """The per-instance check and the sweep of one game claim, as
+def _game_claim(fact: Callable, tally: Callable) -> dict:
+    """The arena, the direction both game tallies record, the source
+    modes, the per-instance check and the sweep of one game claim, as
     ClaimSpec keyword arguments.
 
     In pattern game g the first player's ranks depend only on g // 9 and
@@ -1122,7 +1144,13 @@ def _game_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
                 facts = (first[g // 9], second[g % 9])
                 tally(belief, _pattern_game(g), rows, facts, acc, block)
 
-    return {"check": check, "sweep": sweep}
+    return {
+        "arena": "game",
+        "directions": _IMPLICATION,
+        "modes": ("exhaustive-games", "sampled-monotone", "from-files"),
+        "check": check,
+        "sweep": sweep,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1131,73 +1159,63 @@ def _game_claim(fact: Callable, tally: Callable) -> dict[str, Callable]:
 
 @dataclass(frozen=True)
 class ClaimSpec:
-    """One auditable statement: how to instantiate it and what counts
+    """One auditable statement: its ids and summary, and, from the
+    claim factory that made it, how to instantiate it and what counts
     as confirmation."""
 
     canonical: str
     aliases: tuple[str, ...]
-    arena: str
-    kind: str
     summary: str
+    arena: str
     directions: tuple[str, ...]
+    modes: tuple[str, ...]
     check: Callable
     # sweep(source, lo, hi, acc) of instances [lo, hi) of a generated
     # source (_SWEPT_MODES), making the calls on acc that `check` makes
     # per instance
     sweep: Callable
-    modes: tuple[str, ...] = (
-        "exhaustive-kripke",
-        "sampled-monotone",
-        "from-files",
-    )
+
+    @property
+    def kind(self) -> str:
+        if self.directions == _WITNESS:
+            return "existence"
+        if self.directions == ("observation",):
+            return "observational"
+        return "theorem"
 
 
-_IFF = ("forward", "backward")
 _INTROSPECTION = (Axiom.POSITIVE_INTROSPECTION, Axiom.NEGATIVE_INTROSPECTION)
 _CONJUNCTIVE = (Axiom.CONSISTENCY, Axiom.COUNTABLE_CONJUNCTION)
 _TRUTH_NI = (Axiom.TRUTH, Axiom.NEGATIVE_INTROSPECTION)
 _ACCESS = ("positive_access_bits", "negative_access_bits")
-_GAME_MODES = ("exhaustive-games", "sampled-monotone", "from-files")
 
 _CLAIMS = (
     ClaimSpec(
         "own-beta-certainty-iff-positive-introspection",
         ("prop1-1a",),
-        "operator",
-        "theorem",
         "certainty of the own type mapping through believed-event sets "
         "is equivalent to Positive Introspection",
-        _IFF,
         **_own_type_claim(FamilyKind.BETA, (Axiom.POSITIVE_INTROSPECTION,)),
     ),
     ClaimSpec(
         "own-negbeta-certainty-iff-negative-introspection",
         ("prop1-1b",),
-        "operator",
-        "theorem",
         "certainty through complements of believed-event sets is "
         "equivalent to Negative Introspection",
-        _IFF,
         **_own_type_claim(FamilyKind.NEG_BETA, (Axiom.NEGATIVE_INTROSPECTION,)),
     ),
     ClaimSpec(
         "own-type-certainty-implies-introspection",
         ("prop1-1c",),
-        "operator",
-        "theorem",
         "certainty of the own type mapping on atoms implies both "
         "introspection properties",
-        ("implication",),
         **_own_type_claim(FamilyKind.SIGMA_ATOMS, _INTROSPECTION, iff=False),
     ),
     ClaimSpec(
         "truthful-own-type-certainty-iff-negative-introspection",
         ("prop1-2a",),
-        "operator",
-        "theorem",
         "under the Truth Axiom, certainty of the own type mapping on "
         "atoms is equivalent to Negative Introspection",
-        _IFF,
         **_own_type_claim(
             FamilyKind.SIGMA_ATOMS, (Axiom.NEGATIVE_INTROSPECTION,), gate=(Axiom.TRUTH,)
         ),
@@ -1205,213 +1223,151 @@ _CLAIMS = (
     ClaimSpec(
         "consistent-conjunctive-own-type-certainty-iff-introspection",
         ("prop1-2b",),
-        "operator",
-        "theorem",
         "under Consistency and Countable Conjunction, certainty of the "
         "own type mapping on atoms is equivalent to both introspections",
-        _IFF,
         **_own_type_claim(FamilyKind.SIGMA_ATOMS, _INTROSPECTION, gate=_CONJUNCTIVE),
     ),
     ClaimSpec(
         "cross-beta-certainty-iff-positive-access",
         ("remark1-1a",),
-        "pair",
-        "theorem",
         "certainty of another player's believed-event sets is "
         "equivalent to believing everything they believe",
-        _IFF,
         **_cross_type_claim(FamilyKind.BETA, ("positive_access_bits",)),
     ),
     ClaimSpec(
         "cross-negbeta-certainty-iff-negative-access",
         ("remark1-1b",),
-        "pair",
-        "theorem",
         "certainty of another player's unbelieved-event sets is "
         "equivalent to believing everything they fail to believe",
-        _IFF,
         **_cross_type_claim(FamilyKind.NEG_BETA, ("negative_access_bits",)),
     ),
     ClaimSpec(
         "cross-type-certainty-implies-access",
         ("remark1-1c",),
-        "pair",
-        "theorem",
         "certainty of another player's type mapping on atoms implies "
         "both access properties",
-        ("implication",),
         **_cross_type_claim(FamilyKind.SIGMA_ATOMS, _ACCESS, iff=False),
     ),
     ClaimSpec(
         "truthful-cross-type-certainty-iff-access",
         ("remark1-2a",),
-        "pair",
-        "theorem",
         "under the observer's Truth Axiom, certainty of another "
         "player's type mapping is equivalent to both access properties",
-        _IFF,
         **_cross_type_claim(FamilyKind.SIGMA_ATOMS, _ACCESS, gate=(Axiom.TRUTH,)),
     ),
     ClaimSpec(
         "consistent-conjunctive-cross-type-certainty-iff-access",
         ("remark1-2b",),
-        "pair",
-        "theorem",
         "under the observer's Consistency and Countable Conjunction, "
         "certainty of another player's type mapping is equivalent to "
         "both access properties",
-        _IFF,
         **_cross_type_claim(FamilyKind.SIGMA_ATOMS, _ACCESS, gate=_CONJUNCTIVE),
     ),
     ClaimSpec(
         "truthful-common-type-certainty-iff-shared-introspective-beliefs",
         ("thm1-1",),
-        "pair",
-        "theorem",
         "under everyone's Truth Axiom, common certainty of the type "
         "profile is equivalent to identical, negatively introspective "
         "operators; each then equals the common operator",
-        ("forward", "backward", "in-particular"),
-        **_pair_claim(_truthful_fact, _truthful_tally),
+        **_pair_claim(_truthful_fact, _truthful_tally, _IFF + ("in-particular",)),
     ),
     ClaimSpec(
         "conjunctive-common-type-certainty-iff-common-access",
         ("thm1-2",),
-        "pair",
-        "theorem",
         "under everyone's Consistency and Countable Conjunction, common "
         "certainty of the type profile is equivalent to common-belief "
         "access to every operator; common then equals mutual belief",
-        ("forward", "backward", "in-particular"),
-        **_pair_claim(_conjunctive_fact, _common_access_tally),
+        **_pair_claim(
+            _conjunctive_fact, _common_access_tally, _IFF + ("in-particular",)
+        ),
     ),
     ClaimSpec(
         "common-access-without-common-type-certainty-exists",
         ("thm1-2-converse-fails",),
-        "pair",
-        "existence",
         "common belief can equal mutual belief without the players "
         "being commonly certain of the type profile",
-        ("witness",),
-        **_pair_claim(_conjunctive_fact, _converse_tally),
+        **_pair_claim(_conjunctive_fact, _converse_tally, _WITNESS),
     ),
     ClaimSpec(
         "certainty-transfers-through-type-certainty",
         ("prop4-1a",),
-        "pair",
-        "theorem",
         "with consistent players and complement-covered observations, "
         "certainty of a signal passes to whoever is certain of the "
         "certain player's type mapping",
-        ("implication",),
         **_transfer_claim("implication", _transfer_signals),
     ),
     ClaimSpec(
         "common-type-certainty-shares-signal-certainty",
         ("prop4-1b",),
-        "pair",
-        "theorem",
         "with consistent players commonly certain of the type profile, "
         "signal certainty is shared: one player is certain exactly when "
         "the other is",
-        ("implication",),
-        **_pair_claim(_battery_fact(_transfer_signals), _shared_tally),
+        **_pair_claim(_battery_fact(_transfer_signals), _shared_tally, _IMPLICATION),
     ),
     ClaimSpec(
         "complement-cover-condition-is-needed",
         ("prop4-side-condition",),
-        "pair",
-        "observational",
         "without the complement-cover condition on observations the "
         "transfer conclusion can fail; failures are recorded, not "
         "asserted",
-        ("observation",),
         **_transfer_claim("observation", _uncovered_signals),
     ),
     ClaimSpec(
         "own-upward-certainty-implies-compatibility",
         ("prop5",),
-        "operator",
-        "theorem",
         "a consistent, conjunctive player certain of the upward sets of "
         "own types is compatible with informativeness",
-        ("implication",),
-        **_operator_claim(_compatibility_fact, _implication_tally),
+        **_operator_claim(_compatibility_fact, _implication_tally, _IMPLICATION),
     ),
     ClaimSpec(
         "certain-compatible-conjunctive-players-believe-own-rationality",
         ("thm2",),
-        "game",
-        "theorem",
         "strategy and type certainty with compatibility and Finite "
         "Conjunction make every player correctly believe own "
         "rationality",
-        ("implication",),
-        modes=_GAME_MODES,
         **_game_claim(_chain_fact("correct_belief_chain"), _chain_tally),
     ),
     ClaimSpec(
         "consistent-introspective-kripke-players-believe-own-rationality",
         ("thm2-kripke-pi",),
-        "game",
-        "theorem",
         "consistent, positively introspective Kripke players who are "
         "certain of their strategies correctly believe own rationality",
-        ("implication",),
-        modes=_GAME_MODES,
         **_game_claim(_chain_fact("introspective_correct_belief_chain"), _chain_tally),
     ),
     ClaimSpec(
         "negatively-introspective-kripke-rationality-is-self-evident",
         ("thm2-kripke-ni",),
-        "game",
-        "theorem",
         "for negatively introspective Kripke players certain of their "
         "strategies, own rationality is self-evident: the event implies "
         "belief in it",
-        ("implication",),
-        modes=_GAME_MODES,
         **_game_claim(_chain_fact("self_evident_rationality_chain"), _chain_tally),
     ),
     ClaimSpec(
         "common-rationality-belief-implies-iesda-survival",
         ("epistemic-iesda",),
-        "game",
-        "theorem",
         "common belief in everyone's rationality with correct "
         "own-rationality beliefs keeps the played profile among the "
         "iterated-dominance survivors",
-        ("implication",),
-        modes=_GAME_MODES,
         **_game_claim(_rationality_fact, _survival_tally),
     ),
     ClaimSpec(
         "truth-implies-consistency",
         (),
-        "operator",
-        "theorem",
         "the Truth Axiom implies Consistency",
-        ("implication",),
         **_axiom_implication_claim((Axiom.TRUTH,), (Axiom.CONSISTENCY,)),
     ),
     ClaimSpec(
         "truth-and-negative-introspection-imply-positive",
         ("truth-and-ni-imply-pi",),
-        "operator",
-        "theorem",
         "the Truth Axiom with Negative Introspection implies Positive "
         "Introspection",
-        ("implication",),
         **_axiom_implication_claim(_TRUTH_NI, (Axiom.POSITIVE_INTROSPECTION,)),
     ),
     ClaimSpec(
         "truth-and-negative-introspection-imply-conjunction",
         ("truth-and-ni-imply-fc",),
-        "operator",
-        "theorem",
         "the Truth Axiom with Negative Introspection implies both "
         "conjunction axioms",
-        ("implication",),
         **_axiom_implication_claim(
             _TRUTH_NI, (Axiom.FINITE_CONJUNCTION, Axiom.COUNTABLE_CONJUNCTION)
         ),
@@ -1419,11 +1375,8 @@ _CLAIMS = (
     ClaimSpec(
         "kripke-implies-logical-omniscience",
         ("kripke-implies-logical",),
-        "operator",
-        "theorem",
         "the Kripke property implies Necessitation and both conjunction "
         "axioms",
-        ("implication",),
         **_axiom_implication_claim(
             (Axiom.KRIPKE,),
             (Axiom.NECESSITATION, Axiom.FINITE_CONJUNCTION, Axiom.COUNTABLE_CONJUNCTION),
@@ -1432,77 +1385,56 @@ _CLAIMS = (
     ClaimSpec(
         "consistency-iff-serial",
         ("frame-serial",),
-        "operator",
-        "theorem",
         "on correspondence-built operators Consistency is equivalent to "
         "a serial frame",
-        _IFF,
-        modes=("exhaustive-kripke", "from-files"),
         **_frame_claim(Axiom.CONSISTENCY, FrameProperty.SERIAL),
     ),
     ClaimSpec(
         "truth-iff-reflexive",
         ("frame-reflexive",),
-        "operator",
-        "theorem",
         "on correspondence-built operators the Truth Axiom is "
         "equivalent to a reflexive frame",
-        _IFF,
-        modes=("exhaustive-kripke", "from-files"),
         **_frame_claim(Axiom.TRUTH, FrameProperty.REFLEXIVE),
     ),
     ClaimSpec(
         "positive-introspection-iff-transitive",
         ("frame-transitive",),
-        "operator",
-        "theorem",
         "on correspondence-built operators Positive Introspection is "
         "equivalent to a transitive frame",
-        _IFF,
-        modes=("exhaustive-kripke", "from-files"),
         **_frame_claim(Axiom.POSITIVE_INTROSPECTION, FrameProperty.TRANSITIVE),
     ),
     ClaimSpec(
         "negative-introspection-iff-euclidean",
         ("frame-euclidean",),
-        "operator",
-        "theorem",
         "on correspondence-built operators Negative Introspection is "
         "equivalent to a euclidean frame",
-        _IFF,
-        modes=("exhaustive-kripke", "from-files"),
         **_frame_claim(Axiom.NEGATIVE_INTROSPECTION, FrameProperty.EUCLIDEAN),
     ),
     ClaimSpec(
         "common-belief-matches-iteration",
         ("common-belief-vs-iteration",),
-        "pair",
-        "theorem",
         "the common-belief fixed point always sits inside the iterated "
         "mutual-belief intersection and equals it for conjunctive "
         "players",
-        ("contained-in-iteration", "equals-at-stabilization"),
-        **_pair_claim(_iteration_fact, _iteration_tally),
+        **_pair_claim(
+            _iteration_fact,
+            _iteration_tally,
+            ("contained-in-iteration", "equals-at-stabilization"),
+        ),
     ),
     ClaimSpec(
         "strictly-finer-common-belief-exists",
         ("strict-iteration-gap",),
-        "pair",
-        "existence",
         "without conjunction the common-belief fixed point can be "
         "strictly below the iterated intersection",
-        ("witness",),
-        **_pair_claim(lambda op: op.table(), _iteration_gap_tally),
+        **_pair_claim(lambda op: op.table(), _iteration_gap_tally, _WITNESS),
     ),
     ClaimSpec(
         "beta-certainty-without-negbeta-certainty-exists",
         ("beta-not-negbeta-exists",),
-        "operator",
-        "existence",
         "a positively but not negatively introspective player can be "
         "certain through believed-event sets yet not their complements",
-        ("witness",),
-        **_operator_claim(_beta_not_negbeta_fact, _witness_tally),
+        **_operator_claim(_beta_not_negbeta_fact, _witness_tally, _WITNESS),
     ),
 )
 

@@ -70,8 +70,11 @@ class _Emitter:
         if self.out is None:
             sys.stdout.write(text)
         else:
-            with open(self.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(self.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise _InputError(f"cannot write {self.out}: {exc.strerror}") from exc
 
 
 def _envelope(command: str, check_id: str, passed: bool, witnesses: list) -> dict:
@@ -89,8 +92,9 @@ def _load_document(path: str) -> ModelSpecDocument:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise _InputError(f"cannot read {path}: {reason}") from exc
     try:
         return parse_model_spec(text)
     except ModelSpecError as exc:
@@ -380,6 +384,12 @@ def _cmd_audit(args, em: _Emitter) -> int:
         spec = resolve_claim(args.claim)
         source = _audit_source(args)
         result = audit(spec.canonical, source, jobs=args.jobs, cap=args.cap)
+    except (OSError, UnicodeDecodeError):
+        # audit reads the files itself; the first unreadable one raises
+        # here too, naming its path
+        for path in source.files:
+            _load_document(path)
+        raise
     except (ModelSpecError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
     lines = [f"claim: {result.claim}"]

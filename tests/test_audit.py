@@ -301,6 +301,17 @@ class TestRegistry:
         for alias in ("thm2", "epistemic-iesda"):
             assert "exhaustive-kripke" not in resolve_claim(alias).modes
 
+    def test_every_declared_direction_is_recorded(self):
+        # each claim factory declares the directions its tally records; one it
+        # declares but never records would be reported as all zeros
+        for spec in _CLAIMS:
+            mode = "exhaustive-games" if spec.arena == "game" else "exhaustive-kripke"
+            result = audit(spec.canonical, ModelSource(mode=mode, n_states=1))
+            assert tuple(d.direction for d in result.directions) == spec.directions
+            for d in result.directions:
+                total = d.vacuous + d.confirmed + d.violated
+                assert total > 0, (spec.canonical, d.direction)
+
 
 EXHAUSTIVE_THEOREMS = tuple(
     spec.canonical

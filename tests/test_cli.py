@@ -297,6 +297,65 @@ class TestAudit:
         assert "cap must not be negative" in err
 
 
+# every command that reads model files, with the path to read last
+READING_COMMANDS = [
+    ("axioms",),
+    ("common-belief", "--event", "{ω1}"),
+    ("certainty", "--signal", "x"),
+    ("meta",),
+    ("game",),
+    ("audit", "--claim", "prop1-1a", "--mode", "files", "--file"),
+    ("audit", "--claim", "epistemic-iesda", "--file", PD, "--file"),
+]
+
+
+class TestUnusableFiles:
+    """A model file that cannot be read as UTF-8 text, or an --out path
+    that cannot be written, is unusable input: exit 2 with one error
+    line naming the path, and no traceback."""
+
+    @pytest.mark.parametrize(
+        "command",
+        READING_COMMANDS,
+        ids=["axioms", "common-belief", "certainty", "meta", "game", "audit", "audit-2nd"],
+    )
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda d: d / "missing.bm", "No such file or directory"),
+            (lambda d: d, "Is a directory"),
+            (
+                lambda d: d / "latin1.bm",
+                "'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte",
+            ),
+        ],
+        ids=["missing", "directory", "not-utf8"],
+    )
+    def test_unreadable_model_file(self, capsys, tmp_path, command, make, reason):
+        (tmp_path / "latin1.bm").write_bytes(b"\xffmodel")
+        path = str(make(tmp_path))
+        code, out, err = run(capsys, *command, path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda d: d / "no-dir" / "x.json", "No such file or directory"),
+            (lambda d: d, "Is a directory"),
+        ],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out(self, capsys, tmp_path, make, reason):
+        path = str(make(tmp_path))
+        code, out, err = run(capsys, "--out", path, "axioms", BLINDSPOT)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: {reason}\n"
+
+
 class TestEnumerate:
     def test_counts(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--states", "2")
