@@ -11,9 +11,11 @@ ordered chunks with a deterministic merge. The exhaustive streams and
 the sampled operator and pair streams on up to three states are swept
 without building each instance. An operator or pair claim reads each
 player's operator through one per-operator fact, so the exhaustive
-Kripke streams decide the fact of each of the (2^n)^n operators once
-and tally every instance from its facts, and the sampled streams
-decide it once per distinct drawn table. In the exhaustive game stream each
+Kripke streams decide the fact of each of the (2^n)^n operators once,
+and the sampled streams decide it once per distinct drawn table. The
+exhaustive pair sweep keys each pair by an observer and a subject class,
+or by the union of the two correspondences, and tallies one pair per
+key pair, by count. In the exhaustive game stream each
 run of 81 consecutive instances shares one belief model and one
 strategy profile, and a claim decides a whole block at once from each
 player's own game pattern. Generated pair instances have exactly two
@@ -46,7 +48,7 @@ from .core import (
     kripke_table,
     monotone_closure_table,
 )
-from .dsl import parse_model_spec, serialize_model
+from .dsl import parse_model_spec, read_model_file, serialize_model
 from .games import Game, GameModel, correct_belief_chain
 from .games import introspective_correct_belief_chain, self_evident_rationality_chain
 from .games import maximal_trace, rationality_event, survival_bits
@@ -359,8 +361,7 @@ def _instance_count(arena: str, source: ModelSource) -> int:
 def _instances(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
     if source.mode == "from-files":
         for path in source.files[lo:hi]:
-            with open(path, encoding="utf-8") as fh:
-                doc = parse_model_spec(fh.read())
+            doc = parse_model_spec(read_model_file(path))
             if arena == "game":
                 if doc.game is None:
                     raise ValueError(f"{path} declares no game block")
@@ -477,17 +478,18 @@ class _Acc:
             if len(self.counterexamples) < self.cap:
                 self.counterexamples.append(text() if callable(text) else text)
 
-    def merge(self, other: "_Acc") -> None:
+    def merge(self, other: "_Acc", times: int = 1) -> None:
+        """Add `times` copies of other's counts, and its listings once."""
         for d in self.order:
             for k in range(3):
-                self.tallies[d][k] += other.tallies[d][k]
-        self.instances += other.instances
+                self.tallies[d][k] += times * other.tallies[d][k]
+        self.instances += times * other.instances
         self.violations = (self.violations + other.violations)[: self.cap]
-        self.violations_total += other.violations_total
+        self.violations_total += times * other.violations_total
         self.counterexamples = (self.counterexamples + other.counterexamples)[
             : self.cap
         ]
-        self.counterexamples_total += other.counterexamples_total
+        self.counterexamples_total += times * other.counterexamples_total
 
 
 @dataclass(frozen=True)
@@ -657,7 +659,10 @@ def _uncovered_signals(space: StateSpace) -> tuple[Signal, ...]:
 # is a function of the operator's table alone, so a sweep decides it
 # once per distinct table; a tally decides the rest (mutual and common
 # belief, access, certainty) on integer tables. A frame fact reads the
-# correspondence too, so frame claims take no sampled source.
+# correspondence too, so frame claims take no sampled source. A pair
+# claim also names the class keys its exhaustive sweep counts pairs by;
+# a key holds everything the tally reads of its player, decided through
+# the same callees as the tally.
 
 
 def _instance_text(
@@ -689,12 +694,88 @@ def _mutual_and_common(tables, memo: dict) -> tuple[tuple[int, ...], tuple[int, 
     return mutual, memo[mutual]
 
 
+def _self_evident_bits(table: tuple[int, ...]) -> int:
+    """One bit per event E with E ⊆ B(E): all that the access tests read
+    of the observer's table."""
+    return sum(1 << e for e, image in enumerate(table) if not e & ~image)
+
+
+def _class_ids(keys: Iterable) -> list[int]:
+    """Each key's index among the distinct keys, in order of first sight."""
+    ids = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+class _Lazy(dict):
+    """A dict that fills a missing key from compute(key)."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+# The class keys of an exhaustive pair sweep. Each builder takes the
+# operator facts, the state count and the sweep's memo, and returns
+# row_keys(a, cols): the keys of the observer and of the subject in
+# pairs (a, b), b in cols. Two pairs with the same two keys get the same
+# tally, so the sweep tallies one pair per key pair.
+
+
+def _by_class(classes: Callable) -> Callable:
+    """Keys of a claim whose pair verdict reads only an observer class
+    and a subject class: classes(facts) gives each operator's two."""
+
+    def build(facts, n, memo):
+        observer, subject = map(_class_ids, classes(facts))
+        return lambda a, cols: (
+            itertools.repeat(observer[a], len(cols)),
+            subject[cols.start : cols.stop],
+        )
+
+    return build
+
+
+def _by_union(keyed: Callable) -> Callable:
+    """Keys of a claim whose pair verdict reads the mutual table through
+    keyed(mutual, fact, memo), one player at a time. The mutual table of
+    Kripke operators a and b is the Kripke table of the union
+    correspondence, whose index is a | b (each state's possible-set is
+    one n-bit digit), so a player's key is decided once per (a | b, own
+    operator): at most 3^(n^2) of them."""
+
+    def build(facts, n, memo):
+        size = len(facts)
+        ids = {}
+
+        def decide(key):
+            union, own = divmod(key, size)
+            mutual = _kripke_op_at(n, union, "i").table()
+            return ids.setdefault(keyed(mutual, facts[own], memo), len(ids))
+
+        decided = _Lazy(decide)
+
+        def row_keys(a, cols):
+            unions = [(a | b) * size for b in cols]
+            return (
+                [decided[u + a] for u in unions],
+                [decided[u + b] for u, b in zip(unions, cols)],
+            )
+
+        return row_keys
+
+    return build
+
+
 def _table_claim(
     arena: str,
     fact: Callable,
     tally: Callable,
     directions: tuple[str, ...],
     modes: tuple[str, ...] = ("exhaustive-kripke", "sampled-monotone", "from-files"),
+    classes: Callable | None = None,
 ) -> dict:
     """The arena, the directions `tally` records, the source modes, the
     per-instance check and the sweep of one operator or pair claim, as
@@ -704,17 +785,27 @@ def _table_claim(
     The exhaustive Kripke stream on n states holds each of the (2^n)^n
     operators, or each pair of them, the second varying fastest. Its
     sweep decides each operator's fact once, on the correspondence-built
-    operator, and tallies an instance from its facts without building
-    its belief model. The sampled stream replays the draws as specs and
+    operator, and tallies an operator instance from its fact without
+    building its belief model. A pair claim's `classes` (_by_class or
+    _by_union) keys the observer and the subject of each pair so that
+    pairs with equal keys get equal tallies. The pair sweep counts the
+    pairs of [lo, hi) per key pair, row by observer row, so a worker
+    chunk's partial first and last rows count as they come; it tallies
+    one pair per key pair into a listing-free accumulator and adds that
+    as many times as the key pair occurs. Only when some key pair
+    violates or finds a witness, and cap > 0, does it walk the pairs of
+    those key pairs in stream order and tally them one by one, until the
+    first `cap` listings are rendered, so listings match the
+    per-instance check. The sampled stream replays the draws as specs and
     turns each into its table without building an operator, the Kripke
     ones through a dict keyed by the possible-set tuple. Its sweep
     interns the facts by table in a pool, so a fact is decided once per
     distinct table; a draw before lo only advances the stream. Every
     tally takes a memo of what depends only on the mutual table. A sweep
     keeps one for the whole call (at most 512 mutual tables for
-    three-state Kripke pairs, 8,000 for sampled ones) and drops it and
-    the pool at the end, so that a rebound callee is seen by the next
-    call."""
+    three-state Kripke pairs, 8,000 for sampled ones) and drops it, the
+    pool and the keys at the end, so that a rebound callee is seen by
+    the next call."""
     players = _PLAYERS[arena]
 
     def check(model: BeliefModel, acc: _Acc) -> None:
@@ -733,10 +824,41 @@ def _table_claim(
                 return
             corr_count = space.size**n
             facts = [fact(_kripke_op_at(n, k, "i")) for k in range(corr_count)]
-            for index in range(lo, hi):
-                a, b = divmod(index, corr_count)
-                model = partial(_kripke_model, n, players, index)
-                tally(space, model, (facts[a], facts[b]), acc, memo)
+            row_keys = classes(facts, n, memo)
+            rows = [
+                (a, range(max(lo - a * corr_count, 0), min(hi - a * corr_count, corr_count)))
+                for a in range(lo // corr_count, -(-hi // corr_count))
+            ]
+            counts, first = {}, {}
+            for a, cols in rows:
+                keys = list(zip(*row_keys(a, cols)))
+                for key in keys:
+                    counts[key] = counts.get(key, 0) + 1
+                if len(counts) > len(first):
+                    for b, key in zip(cols, keys):
+                        first.setdefault(key, (a, b))
+            bad, found = set(), [0, 0]
+            for key, count in counts.items():
+                a, b = first[key]
+                one = _Acc(directions, 0)
+                tally(space, None, (facts[a], facts[b]), one, memo)
+                acc.merge(one, count)
+                if one.violations_total or one.counterexamples_total:
+                    bad.add(key)
+                    found[0] += count * one.violations_total
+                    found[1] += count * one.counterexamples_total
+            want = [min(acc.cap, total) for total in found]
+            if not any(want):
+                return
+            listed = _Acc(directions, acc.cap)
+            for a, cols in rows:
+                for b, key in zip(cols, zip(*row_keys(a, cols))):
+                    if key in bad:
+                        model = partial(_kripke_model, n, players, a * corr_count + b)
+                        tally(space, model, (facts[a], facts[b]), listed, memo)
+                if [len(listed.violations), len(listed.counterexamples)] == want:
+                    break
+            acc.merge(listed, 0)  # its listings; its counts are in already
             return
         pool, kripke = {}, {}
 
@@ -879,7 +1001,19 @@ def _cross_type_claim(
         else:
             acc.implication("implication", left and gated, right, text)
 
-    return _pair_claim(fact, tally, _IFF if iff else _IMPLICATION)
+    def classes(facts):
+        # certainty is decided once per observer and distinct subject
+        # signal; access reads the observer's self-evident events and the
+        # set of the subject's images
+        signals = {sig._preimage_masks(): sig for _, sig, _ in facts}.values()
+        observers = [
+            (gated, _self_evident_bits(table), tuple(_certain_on(table, (s,)) for s in signals))
+            for table, _, gated in facts
+        ]
+        subjects = [(sig._preimage_masks(), frozenset(table)) for table, sig, _ in facts]
+        return observers, subjects
+
+    return _pair_claim(fact, tally, _IFF if iff else _IMPLICATION, classes=_by_class(classes))
 
 
 def _truthful_fact(op: BeliefOperator):
@@ -908,6 +1042,15 @@ def _truthful_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     text = _instance_text(model)
     acc.biconditional(left, right, text)
     acc.implication("in-particular", left, left and all(t == common for t in tables), text)
+
+
+def _truthful_key(mutual, fact, memo: dict):
+    # two tables are equal exactly when each equals their mutual table
+    if fact is None:
+        return None
+    table, sig, introspective = fact
+    _, common = _mutual_and_common((mutual,), memo)
+    return _certain_on(common, (sig,)), introspective, table == mutual, table == common
 
 
 def _conjunctive_fact(op: BeliefOperator):
@@ -944,6 +1087,18 @@ def _converse_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     acc.exists(found, _instance_text(model))
 
 
+def _conjunctive_key(mutual, fact, memo: dict):
+    """What the common-access and converse tallies read of one player."""
+    if fact is None:
+        return None
+    table, sig = fact
+    _, common = _mutual_and_common((mutual,), memo)
+    access = not any(positive_access_bits(common, table)) and not any(
+        negative_access_bits(common, table)
+    )
+    return _certain_on(common, (sig,)), access, common == mutual
+
+
 def _common_and_iterated(tables, memo: dict) -> list[tuple[int, int]]:
     """Per event, the common-belief bits and the intersection of the
     iterated mutual beliefs. The accumulator is nonincreasing and the
@@ -974,6 +1129,12 @@ def _iteration_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     acc.implication(
         "equals-at-stabilization", all(conj for _, conj in facts), equal, text
     )
+
+
+def _iteration_key(mutual, fact, memo: dict):
+    # the pair's common and iterated beliefs, and the player's Countable
+    # Conjunction
+    return tuple(_common_and_iterated((mutual,), memo)), fact[1]
 
 
 def _iteration_gap_tally(space, model, tables, acc: _Acc, memo: dict) -> None:
@@ -1027,7 +1188,26 @@ def _transfer_claim(direction: str, battery: Callable) -> dict:
             else:
                 acc.record(direction, "vacuous")
 
-    return _pair_claim(_battery_fact(battery), tally, (direction,))
+    def classes(facts):
+        # a live observer is consistent and certain of some signal; the
+        # subject's certainty of each distinct live type signal is
+        # decided once per subject
+        live = {
+            sigma._preimage_masks(): sigma for ok, _, sigma, certain in facts if ok and any(certain)
+        }
+        observers = [
+            ok and any(certain) and (sigma._preimage_masks(), certain)
+            for ok, _, sigma, certain in facts
+        ]
+        subjects = [
+            ok and (certain, tuple(_certain_on(table, (s,)) for s in live.values()))
+            for ok, table, _, certain in facts
+        ]
+        return observers, subjects
+
+    return _pair_claim(
+        _battery_fact(battery), tally, (direction,), classes=_by_class(classes)
+    )
 
 
 def _shared_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
@@ -1045,6 +1225,12 @@ def _shared_tally(space, model, facts, acc: _Acc, memo: dict) -> None:
     for sig, left, right in zip(_transfer_signals(space), certain_i, certain_j):
         acc.add_instance()
         acc.implication("implication", True, left == right, _instance_text(model, (sig,)))
+
+
+def _shared_key(mutual, fact, memo: dict):
+    ok, _, sigma, certain = fact
+    live = ok and _certain_on(_mutual_and_common((mutual,), memo)[1], (sigma,))
+    return live, certain
 
 
 # Game claims. Each is a per-player fact, which reads only that
@@ -1269,7 +1455,12 @@ _CLAIMS = (
         "under everyone's Truth Axiom, common certainty of the type "
         "profile is equivalent to identical, negatively introspective "
         "operators; each then equals the common operator",
-        **_pair_claim(_truthful_fact, _truthful_tally, _IFF + ("in-particular",)),
+        **_pair_claim(
+            _truthful_fact,
+            _truthful_tally,
+            _IFF + ("in-particular",),
+            classes=_by_union(_truthful_key),
+        ),
     ),
     ClaimSpec(
         "conjunctive-common-type-certainty-iff-common-access",
@@ -1278,7 +1469,10 @@ _CLAIMS = (
         "certainty of the type profile is equivalent to common-belief "
         "access to every operator; common then equals mutual belief",
         **_pair_claim(
-            _conjunctive_fact, _common_access_tally, _IFF + ("in-particular",)
+            _conjunctive_fact,
+            _common_access_tally,
+            _IFF + ("in-particular",),
+            classes=_by_union(_conjunctive_key),
         ),
     ),
     ClaimSpec(
@@ -1286,7 +1480,9 @@ _CLAIMS = (
         ("thm1-2-converse-fails",),
         "common belief can equal mutual belief without the players "
         "being commonly certain of the type profile",
-        **_pair_claim(_conjunctive_fact, _converse_tally, _WITNESS),
+        **_pair_claim(
+            _conjunctive_fact, _converse_tally, _WITNESS, classes=_by_union(_conjunctive_key)
+        ),
     ),
     ClaimSpec(
         "certainty-transfers-through-type-certainty",
@@ -1302,7 +1498,12 @@ _CLAIMS = (
         "with consistent players commonly certain of the type profile, "
         "signal certainty is shared: one player is certain exactly when "
         "the other is",
-        **_pair_claim(_battery_fact(_transfer_signals), _shared_tally, _IMPLICATION),
+        **_pair_claim(
+            _battery_fact(_transfer_signals),
+            _shared_tally,
+            _IMPLICATION,
+            classes=_by_union(_shared_key),
+        ),
     ),
     ClaimSpec(
         "complement-cover-condition-is-needed",
@@ -1420,6 +1621,7 @@ _CLAIMS = (
             _iteration_fact,
             _iteration_tally,
             ("contained-in-iteration", "equals-at-stabilization"),
+            classes=_by_union(_iteration_key),
         ),
     ),
     ClaimSpec(
@@ -1427,7 +1629,14 @@ _CLAIMS = (
         ("strict-iteration-gap",),
         "without conjunction the common-belief fixed point can be "
         "strictly below the iterated intersection",
-        **_pair_claim(lambda op: op.table(), _iteration_gap_tally, _WITNESS),
+        **_pair_claim(
+            lambda op: op.table(),
+            _iteration_gap_tally,
+            _WITNESS,
+            classes=_by_union(
+                lambda mutual, table, memo: tuple(_common_and_iterated((mutual,), memo))
+            ),
+        ),
     ),
     ClaimSpec(
         "beta-certainty-without-negbeta-certainty-exists",

@@ -19,7 +19,7 @@ from .audit import MODES, ModelSource, VIOLATION_CAP, audit, claim_ids
 from .audit import enumerate_correspondences, resolve_claim
 from .core import TABLE_LIMIT, Event, StateSpace
 from .dsl import ModelSpecDocument, ModelSpecError, parse_event_literal
-from .dsl import parse_model_spec
+from .dsl import parse_model_spec, read_model_file
 from .games import (
     GameModel,
     epistemic_iesda_verdict,
@@ -90,11 +90,9 @@ def _envelope(command: str, check_id: str, passed: bool, witnesses: list) -> dic
 
 def _load_document(path: str) -> ModelSpecDocument:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise _InputError(f"cannot read {path}: {reason}") from exc
+        text = read_model_file(path)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     try:
         return parse_model_spec(text)
     except ModelSpecError as exc:
@@ -384,12 +382,6 @@ def _cmd_audit(args, em: _Emitter) -> int:
         spec = resolve_claim(args.claim)
         source = _audit_source(args)
         result = audit(spec.canonical, source, jobs=args.jobs, cap=args.cap)
-    except (OSError, UnicodeDecodeError):
-        # audit reads the files itself; the first unreadable one raises
-        # here too, naming its path
-        for path in source.files:
-            _load_document(path)
-        raise
     except (ModelSpecError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
     lines = [f"claim: {result.claim}"]

@@ -589,6 +589,17 @@ class _Parser:
             )
 
 
+def read_model_file(path: str) -> str:
+    """The text of a model file. A file that cannot be read as UTF-8
+    text raises one ValueError naming the path and the reason."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError(f"cannot read {path}: {reason}") from exc
+
+
 def parse_model_spec(text: str) -> ModelSpecDocument:
     return _Parser(text).parse()
 

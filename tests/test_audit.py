@@ -301,13 +301,26 @@ class TestRegistry:
         for alias in ("thm2", "epistemic-iesda"):
             assert "exhaustive-kripke" not in resolve_claim(alias).modes
 
-    def test_every_declared_direction_is_recorded(self):
+    def test_every_declared_direction_is_recorded(self, monkeypatch):
         # each claim factory declares the directions its tally records; one it
-        # declares but never records would be reported as all zeros
+        # declares but never names to _Acc.record or _Acc.count would be
+        # reported as all zeros, or as vacuous throughout when the tally
+        # fills it only through _Acc.vacuous
+        named = set()
+        for method in ("record", "count"):
+            real = getattr(_Acc, method)
+            monkeypatch.setattr(
+                _Acc,
+                method,
+                lambda self, direction, *args, real=real: named.add(direction)
+                or real(self, direction, *args),
+            )
         for spec in _CLAIMS:
+            named.clear()
             mode = "exhaustive-games" if spec.arena == "game" else "exhaustive-kripke"
             result = audit(spec.canonical, ModelSource(mode=mode, n_states=1))
             assert tuple(d.direction for d in result.directions) == spec.directions
+            assert set(spec.directions) <= named, spec.canonical
             for d in result.directions:
                 total = d.vacuous + d.confirmed + d.violated
                 assert total > 0, (spec.canonical, d.direction)
@@ -590,10 +603,18 @@ PAIR_CLAIMS = tuple(
     if spec.arena == "pair" and "exhaustive-kripke" in spec.modes
 )
 # Slices of the three-state pair stream, pair (a, b) at index 512 * a + b.
-# The second and fourth cross from one first operator to the next, the
-# third crosses the middle of the stream; the first and last hold the
-# first and last operator pairs.
-PAIR_SLICES = ((0, 40), (500, 530), (131_060, 131_100), (262_100, 262_144))
+# The second and fifth cross from one first operator to the next, the
+# third crosses the middle of the stream, and the fourth covers the whole
+# rows of two first operators and parts of the rows on either side, as a
+# worker chunk does; the first and last hold the first and last operator
+# pairs.
+PAIR_SLICES = (
+    (0, 40),
+    (500, 530),
+    (131_060, 131_100),
+    (199_900, 201_400),
+    (262_100, 262_144),
+)
 
 
 def _reference(claim, source, lo, hi, cap):
@@ -608,14 +629,23 @@ def _reference(claim, source, lo, hi, cap):
 @pytest.fixture
 def forced_pair_facts(monkeypatch):
     """Flip, as a function of their inputs alone, about one in five axiom
-    verdicts, one in four certainty verdicts and one in six iterated
-    mutual beliefs, so that every operator and pair claim fails or finds
-    witnesses. Tuples of ints hash the same in every process."""
+    verdicts, one in four certainty verdicts, one in six iterated mutual
+    beliefs and one in seven verdicts on whether a table holds an event
+    self-evident, so that every operator and pair claim fails or finds
+    witnesses. The access tests and the self-evident events that pair
+    sweeps class observers by flip alike. Tuples of ints hash the same in
+    every process."""
     import beliefcheck.audit as audit_module
 
     holds = audit_module._holds
     unbelieved = audit_module.unbelieved_bits
     iterated = audit_module.iterated_mutual_bits
+    self_evident = audit_module._self_evident_bits
+    positive = audit_module.positive_access_bits
+    negative = audit_module.negative_access_bits
+
+    def flipped(table, event):
+        return hash((table, event)) % 7 == 0
 
     def forced_holds(op, axiom):
         return holds(op, axiom) != (hash((op.table(), tuple(Axiom).index(axiom))) % 5 == 0)
@@ -630,11 +660,41 @@ def forced_pair_facts(monkeypatch):
         bits = iterated(mutual, event_bits, depth)
         return bits ^ 1 if hash((mutual, event_bits)) % 6 == 0 else bits
 
+    def forced_self_evident(table):
+        flips = sum(1 << e for e in range(len(table)) if flipped(table, e))
+        return self_evident(table) ^ flips
+
+    def forced_positive(observer, subject):
+        # per event, the subject's image is what the observer must hold
+        # self-evident
+        bits = positive(observer, subject)
+        return (int(not b) if flipped(observer, e) else b for e, b in zip(subject, bits))
+
+    def forced_negative(observer, subject):
+        full = len(subject) - 1
+        bits = negative(observer, subject)
+        return (
+            int(not b) if flipped(observer, full & ~e) else b for e, b in zip(subject, bits)
+        )
+
     monkeypatch.setattr(audit_module, "_holds", forced_holds)
     monkeypatch.setattr(audit_module, "unbelieved_bits", forced_unbelieved)
     monkeypatch.setattr(audit_module, "iterated_mutual_bits", forced_iterated)
+    monkeypatch.setattr(audit_module, "_self_evident_bits", forced_self_evident)
+    monkeypatch.setattr(audit_module, "positive_access_bits", forced_positive)
+    monkeypatch.setattr(audit_module, "negative_access_bits", forced_negative)
 
 
+# pair claims whose verdict reads only an observer class and a subject class
+SEPARATING_CLAIMS = (
+    "remark1-1a",
+    "remark1-1b",
+    "remark1-1c",
+    "remark1-2a",
+    "remark1-2b",
+    "prop4-1a",
+    "prop4-side-condition",
+)
 COMMON_TABLE_CLAIMS = (
     "thm1-1",
     "thm1-2",
@@ -733,6 +793,51 @@ class TestPairSweeps:
         one = json.dumps(audit(claim, self.SRC, jobs=1).to_dict())
         two = json.dumps(audit(claim, self.SRC, jobs=2).to_dict())
         assert one == two
+
+    @pytest.mark.parametrize("claim", SEPARATING_CLAIMS)
+    def test_forced_classes_hold_across_observers(self, forced_pair_facts, claim):
+        # observers share a class only where every verdict the tally reads
+        # of them agrees; ten whole rows put many observers in one class
+        lo, hi = 512 * 300, 512 * 310
+        assert _blocked(claim, self.SRC, lo, hi, 5) == _reference(claim, self.SRC, lo, hi, 5)
+
+    @pytest.mark.parametrize("cap", [0, 3, 40])
+    @pytest.mark.parametrize("claim", ["remark1-1a", "prop4-1a", "thm1-2"])
+    def test_chunks_split_mid_row_merge_to_the_whole(self, forced_pair_facts, claim, cap):
+        # a worker chunk may start and end inside an observer's row of 512
+        canonical = resolve_claim(claim).canonical
+        lo, hi = PAIR_SLICES[3]
+        whole = _run_range(canonical, self.SRC, lo, hi, cap)
+        cuts = (lo, 200_000, 200_600, 201_300, hi)
+        parts = [_run_range(canonical, self.SRC, a, b, cap) for a, b in zip(cuts, cuts[1:])]
+        merged = parts[0]
+        for part in parts[1:]:
+            merged.merge(part)
+        assert _accumulated(merged) == _accumulated(whole)
+        assert whole.violations_total + whole.counterexamples_total > 0
+
+    def test_union_keys_are_decided_once(self, monkeypatch):
+        # thm1-2 reads a player's fact through the key (a | b, own
+        # operator): 27 pairs of a possible-set and a subset of it per
+        # state, 19 of them with a consistent subset, so 3^9 keys and 19^3
+        # conjunctive ones on three states
+        import beliefcheck.audit as audit_module
+
+        decided = []
+
+        class Counting(audit_module._Lazy):
+            def __missing__(self, key):
+                decided.append(key)
+                return super().__missing__(key)
+
+        monkeypatch.setattr(audit_module, "_Lazy", Counting)
+        assert audit("thm1-2", self.SRC).instances == 262_144
+        conjunctive = {
+            k for k, corr in enumerate(enumerate_correspondences(3))
+            if BeliefOperator.from_correspondence(corr).check_axiom(Axiom.CONSISTENCY).holds
+        }
+        assert len(decided) == len(set(decided)) == 3**9
+        assert sum(key % 512 in conjunctive for key in decided) == 19**3 == 6_859
 
     @pytest.mark.parametrize("claim", COMMON_TABLE_CLAIMS)
     def test_common_table_is_decided_once_per_mutual_table(self, monkeypatch, claim):
@@ -1124,6 +1229,18 @@ class TestFromFiles:
             assert audit(claim, both).directions == first.directions
             differ += audit(claim, alone("j")).directions != first.directions
         assert differ
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("latin1.bm", "'utf-8' codec can't decode byte 0xff"), ("missing.bm", "No such file")],
+    )
+    def test_unreadable_file_is_named(self, model_file, tmp_path, name, reason):
+        (tmp_path / "latin1.bm").write_bytes(b"\xffmodel")
+        path = str(tmp_path / name)
+        src = ModelSource(mode="from-files", files=(model_file, path))
+        with pytest.raises(ValueError) as info:
+            audit("remark1-1a", src)
+        assert str(info.value).startswith(f"cannot read {path}: {reason}")
 
     def test_game_claim_needs_game_block(self, model_file):
         src = ModelSource(mode="from-files", files=(model_file,))
