@@ -1,6 +1,6 @@
 """Text format for belief models, signals, and games.
 
-Hand-written lexer and recursive-descent parser with line/column
+A one-pattern lexer and a recursive-descent parser with line/column
 diagnostics, a normalized document form, and a canonical serializer.
 Parsing a serialized document gives the document back; serializing a
 parsed document is idempotent after one round trip.
@@ -9,8 +9,9 @@ parsed document is idempotent after one round trip.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import BeliefModel, BeliefOperator, Event, StateSpace
 from .core import PossibilityCorrespondence
@@ -56,59 +57,39 @@ class ModelSpecError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
-    line: int
-    col: int
+    pos: int  # offset in the text
+
+
+# Blanks and comments, then one token. The comment ends with a lookahead
+# so that a failed token match cannot backtrack into it: "#>" at the end
+# of the input is a comment, not a stray '>'. \s accepts what
+# str.isspace() accepts; only "\n" ends a line (_line_col).
+_TOKEN = re.compile(
+    r"""(?:\s|\#[^\n]*(?![^\n]))*
+    (?: (?P<PUNCT>[{}():;,=]) | (?P<ARROW>→|->) | (?P<STRAY>>)
+      | (?P<WORD>(?:[^\s{}():;,=\#→>-]|-(?!>))(?:[^\s{}():;,=\#→-]|-(?!>))*) )""",
+    re.VERBOSE,
+)
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _lex(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch in PUNCT:
-            tokens.append(Token(PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "→" or (ch == "-" and i + 1 < n and text[i + 1] == ">"):
-            width = 1 if ch == "→" else 2
-            tokens.append(Token("ARROW", text[i : i + width], line, col))
-            i += width
-            col += width
-            continue
-        if ch == ">":
-            raise ModelSpecError("lexical", "stray '>'", line, col)
-        start, start_col = i, col
-        while i < n:
-            ch = text[i]
-            if ch.isspace() or ch in PUNCT or ch == "#" or ch == "→":
-                break
-            if ch == "-" and i + 1 < n and text[i + 1] == ">":
-                break
-            i += 1
-            col += 1
-        tokens.append(Token("WORD", text[start:i], line, start_col))
-    tokens.append(Token("EOF", "", line, col))
+    end = 0
+    while match := _TOKEN.match(text, end):
+        kind = match.lastgroup
+        value, pos = match[kind], match.start(kind)
+        if kind == "STRAY":
+            raise ModelSpecError("lexical", "stray '>'", *_line_col(text, pos))
+        tokens.append(Token(PUNCT.get(value, kind), value, pos))
+        end = match.end()
+    tokens.append(Token("EOF", "", len(text)))
     return tokens
 
 
@@ -203,6 +184,7 @@ def _operator_from_spec(space: StateSpace, spec: PlayerSpec) -> BeliefOperator:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
 
@@ -216,7 +198,7 @@ class _Parser:
 
     def error(self, message: str, tok: Token | None = None, kind: str = "syntax"):
         tok = tok or self.peek()
-        raise ModelSpecError(kind, message, tok.line, tok.col)
+        raise ModelSpecError(kind, message, *_line_col(self.text, tok.pos))
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()

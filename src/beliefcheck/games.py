@@ -336,33 +336,25 @@ class EliminationTrace:
     survivors: tuple[tuple[str, ...], ...]
 
 
-def _dominated_now(game: Game, current: list[list[str]]) -> list[tuple[int, str]]:
-    """Actions strictly dominated by a surviving pure action, player
-    order then action order."""
+def _dominated_now(game: Game, current: list[list[int]]) -> list[tuple[int, int]]:
+    """Action indices strictly dominated by a surviving pure action,
+    player order then action order."""
     out = []
     for i, acts in enumerate(current):
-        others = [c for j, c in enumerate(current) if j != i]
-        opponent_profiles = list(itertools.product(*others))
+        bases = [0]
+        for j, (stride, alive) in enumerate(zip(game._strides, current)):
+            if j != i:
+                bases = [base + a * stride for base in bases for a in alive]
+        rank, stride = game.ranks[i], game._strides[i]
         for action in acts:
-            for dominator in acts:
-                if dominator == action:
-                    continue
-                if all(
-                    game.prefers(
-                        game.players[i],
-                        _insert(op_profile, i, dominator),
-                        _insert(op_profile, i, action),
-                        ">",
-                    )
-                    for op_profile in opponent_profiles
-                ):
-                    out.append((i, action))
-                    break
+            own = action * stride
+            if any(
+                all(rank[base + alt * stride] > rank[base + own] for base in bases)
+                for alt in acts
+                if alt != action
+            ):
+                out.append((i, action))
     return out
-
-
-def _insert(profile: tuple[str, ...], index: int, action: str) -> tuple[str, ...]:
-    return profile[:index] + (action,) + profile[index:]
 
 
 def iesda(game: Game, mode: str = "maximal", seed: int | None = None) -> EliminationTrace:
@@ -375,7 +367,7 @@ def iesda(game: Game, mode: str = "maximal", seed: int | None = None) -> Elimina
     if mode not in ("maximal", "seeded"):
         raise ValueError("mode must be 'maximal' or 'seeded'")
     rng = random.Random(0 if seed is None else seed) if mode == "seeded" else None
-    current = [list(acts) for acts in game.actions]
+    current = [list(range(len(acts))) for acts in game.actions]
     rounds = []
     while True:
         dominated = _dominated_now(game, current)
@@ -384,7 +376,7 @@ def iesda(game: Game, mode: str = "maximal", seed: int | None = None) -> Elimina
         if mode == "seeded":
             dominated = [dominated[rng.randrange(len(dominated))]]
         rounds.append(
-            tuple((game.players[i], action) for i, action in dominated)
+            tuple((game.players[i], game.actions[i][a]) for i, a in dominated)
         )
         for i, action in dominated:
             current[i].remove(action)
@@ -393,7 +385,9 @@ def iesda(game: Game, mode: str = "maximal", seed: int | None = None) -> Elimina
         mode=mode,
         seed=seed if mode == "seeded" else None,
         rounds=tuple(rounds),
-        survivors=tuple(tuple(acts) for acts in current),
+        survivors=tuple(
+            tuple(acts[a] for a in alive) for acts, alive in zip(game.actions, current)
+        ),
     )
 
 

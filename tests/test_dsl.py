@@ -164,6 +164,23 @@ READER_CASES = [
      ("syntax", 5, 4, "keyword 'strategy' cannot be used as codomain value name")),
     ("family missing open", "states a;\nsignal x : u v {\n  a -> u\n} family u",
      ("syntax", 4, 10, "expected '{' opening the family block, found 'u'")),
+    # lexical corner cases
+    ("comment ends input after '>'", "states a;\nplayer p {#\t>",
+     ("syntax", 2, 14, "expected 'kripke' or 'table' or 'core', found 'end of input'")),
+    ("stray '>' after a name", "states a b;\nplayer p >",
+     ("lexical", 2, 10, "stray '>'")),
+    ("'>' inside a name", "states a>b a-b a>b;",
+     ("semantic", 1, 16, "duplicate state: a>b")),
+    ("'-' inside a name", "states a-b a>b a-b;",
+     ("semantic", 1, 16, "duplicate state: a-b")),
+    ("arrow between names", "states u;\nsignal x : v {\n  u->v, u->v\n} family { {v} }",
+     ("semantic", 3, 9, "duplicate assignment for u")),
+    ("blanks that end no line", "states a;\r\n\x0b\x0c\u2028\u3000player\r ;",
+     ("syntax", 2, 13, "expected player name, found ';'")),
+    ("blanks between names", "states a\x0b\x0cb\u2028\u3000a;",
+     ("semantic", 1, 14, "duplicate state: a")),
+    ("end of input after a comment line", "states a;\nplayer # c\n",
+     ("syntax", 3, 1, "expected player name, found 'end of input'")),
 ]
 
 

@@ -1,5 +1,6 @@
 """Games on belief models: preferences, rationality, IESDA, epistemics."""
 
+import functools
 import itertools
 import random
 
@@ -402,6 +403,46 @@ def brute_rationality_possibility(gm, player):
     return bits
 
 
+@functools.lru_cache(maxsize=None)
+def brute_iesda(game, mode, seed):
+    """IESDA written from Game.prefers over whole action profiles."""
+    rng = random.Random(0 if seed is None else seed)
+    current = [list(acts) for acts in game.actions]
+    rounds = []
+    while True:
+        dominated = []
+        for i, player in enumerate(game.players):
+            profiles = list(itertools.product(*current))
+
+            def dominates(alt, ref):
+                return all(
+                    game.prefers(
+                        player,
+                        profile[:i] + (alt,) + profile[i + 1 :],
+                        profile[:i] + (ref,) + profile[i + 1 :],
+                        ">",
+                    )
+                    for profile in profiles
+                )
+
+            for action in current[i]:
+                if any(dominates(alt, action) for alt in current[i] if alt != action):
+                    dominated.append((player, action))
+        if not dominated:
+            break
+        if mode == "seeded":
+            dominated = [dominated[rng.randrange(len(dominated))]]
+        rounds.append(tuple(dominated))
+        for player, action in dominated:
+            current[game.players.index(player)].remove(action)
+    return EliminationTrace(
+        mode=mode,
+        seed=seed if mode == "seeded" else None,
+        rounds=tuple(rounds),
+        survivors=tuple(map(tuple, current)),
+    )
+
+
 def assert_kernel_matches(gm):
     for player in gm.game.players:
         acts = gm.game.actions_of(player)
@@ -413,6 +454,8 @@ def assert_kernel_matches(gm):
         assert rationality_event(gm, player).bits == brute_rationality_possibility(
             gm, player
         )
+    for mode, seed in (("maximal", None), ("seeded", None), ("seeded", 0), ("seeded", 5)):
+        assert iesda(gm.game, mode, seed) == brute_iesda(gm.game, mode, seed)
     trace = iesda(gm.game)
     survived = survival_event(gm, trace).bits
     for i, state in enumerate(gm.space.states):
