@@ -7,9 +7,10 @@ tallies verdicts per implication direction. Audits are pure and
 deterministic: the same claim and source always give the same result,
 including the serialized violation and counterexample listings, and
 the instance stream is index-addressable so runs parallelize into
-ordered chunks with a deterministic merge. The exhaustive streams and
-the sampled operator and pair streams on up to three states are swept
-without building each instance. An operator or pair claim reads each
+ordered chunks with a deterministic merge. The exhaustive streams, the
+sampled operator and pair streams on up to three states and the
+sampled game streams on up to TABLE_LIMIT states are swept without
+building each instance. An operator or pair claim reads each
 player's operator through one per-operator fact, so the exhaustive
 Kripke streams decide the fact of each of the (2^n)^n operators once,
 and the sampled streams decide it once per distinct drawn table. The
@@ -20,7 +21,7 @@ run of 81 consecutive instances shares one belief model and one
 strategy profile, and a claim decides a whole block at once from each
 player's own game pattern. Generated pair instances have exactly two
 players, so pair claims refuse a generated source with any other
-player count.
+player count, and a model file with fewer than two players.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .core import (
     ImplicationStatus,
     PossibilityCorrespondence,
     StateSpace,
+    TABLE_LIMIT,
+    common_belief_bits,
     common_table,
     correspondence_property,
     intersect_tables,
@@ -49,9 +52,10 @@ from .core import (
     monotone_closure_table,
 )
 from .dsl import parse_model_spec, read_model_file, serialize_model
-from .games import Game, GameModel, correct_belief_chain
-from .games import introspective_correct_belief_chain, self_evident_rationality_chain
-from .games import maximal_trace, rationality_event, survival_bits
+from .games import CORRECT_BELIEF, INTROSPECTIVE_CORRECT_BELIEF, SELF_EVIDENT_RATIONALITY
+from .games import Game, GameModel, PlayerTables, decide_chain, maximal_trace
+from .games import opponent_bases, player_tables, profile_strides, rationality_bits
+from .games import survival_bits
 from .informativeness import compatible_with_informativeness
 from .qualitative import (
     FamilyKind,
@@ -72,14 +76,21 @@ EXHAUSTIVE_STATE_LIMIT = 3
 _GAME_PROFILE_LIMIT = 4096
 _ACTION_NAMES = "abcdefghij"  # of a sampled game; their count caps its actions
 MODES = ("exhaustive-kripke", "sampled-monotone", "exhaustive-games", "from-files")
-# per arena, the source modes a claim's sweep decides, on at most
-# EXHAUSTIVE_STATE_LIMIT states; any other source runs the per-instance
-# check. A sampled sweep interns its drawn tables, which repeat on three
-# states (8,000 monotone tables), but past that nearly every draw is new
+# per arena, the source modes a claim's sweep decides, each with the most
+# states it sweeps; any other source runs the per-instance check. An
+# operator or pair sweep interns its drawn tables, which repeat on three
+# states (8,000 monotone tables), but past that nearly every draw is new.
+# A game sweep interns nothing; it needs each drawn operator's table
 _SWEPT_MODES = {
-    "operator": ("exhaustive-kripke", "sampled-monotone"),
-    "pair": ("exhaustive-kripke", "sampled-monotone"),
-    "game": ("exhaustive-games",),
+    "operator": {
+        "exhaustive-kripke": EXHAUSTIVE_STATE_LIMIT,
+        "sampled-monotone": EXHAUSTIVE_STATE_LIMIT,
+    },
+    "pair": {
+        "exhaustive-kripke": EXHAUSTIVE_STATE_LIMIT,
+        "sampled-monotone": EXHAUSTIVE_STATE_LIMIT,
+    },
+    "game": {"exhaustive-games": EXHAUSTIVE_STATE_LIMIT, "sampled-monotone": TABLE_LIMIT},
 }
 # the players of a generated operator or pair instance, one operator each
 _PLAYERS = {"operator": ("i",), "pair": ("i", "j")}
@@ -304,22 +315,40 @@ def _game_blocks(
         yield _pair_model(n, corr_i, corr_j), rows, games
 
 
-def _sampled_game(rng: random.Random, source: ModelSource) -> GameModel:
+def _draw_game_spec(rng: random.Random, source: ModelSource):
+    """One game draw of the sampled stream, the only procedure that draws
+    one: each player's operator spec, then each player's rank of every
+    action profile in profile order, then each player's action index at
+    every state."""
     space = standard_space(source.n_states)
+    players, actions = source.n_players, source.n_actions
+    profiles = actions**players
+    specs = [_draw_spec(rng, space) for _ in range(players)]
+    ranks = tuple(
+        tuple(rng.randrange(profiles + 1) for _ in range(profiles)) for _ in range(players)
+    )
+    codes = tuple(
+        tuple(rng.randrange(actions) for _ in range(space.n)) for _ in range(players)
+    )
+    return specs, ranks, codes
+
+
+def _drawn_game(source: ModelSource, ranks) -> Game:
     players = tuple(f"p{k + 1}" for k in range(source.n_players))
-    ops = {p: _draw_operator(rng, space, owner=p) for p in players}
-    letters = _ACTION_NAMES[: source.n_actions]
-    actions = {p: tuple(letters) for p in players}
-    profiles = list(itertools.product(*(actions[p] for p in players)))
-    ranks = {
-        p: {pr: rng.randrange(len(profiles) + 1) for pr in profiles}
-        for p in players
-    }
-    strategies = {
-        p: tuple(letters[rng.randrange(len(letters))] for _ in range(space.n))
-        for p in players
-    }
-    return GameModel.of(BeliefModel(space, ops), Game.of(actions, ranks), strategies)
+    letters = tuple(_ACTION_NAMES[: source.n_actions])
+    return Game(players, (letters,) * len(players), ranks)
+
+
+def _drawn_game_model(source: ModelSource, specs, game: Game, codes) -> GameModel:
+    """The drawn game model, each operator as drawn."""
+    space = standard_space(source.n_states)
+    rows = tuple(tuple(acts[c] for c in row) for acts, row in zip(game.actions, codes))
+    return GameModel(_drawn_model(space, game.players, specs), game, rows)
+
+
+def _sampled_game(rng: random.Random, source: ModelSource) -> GameModel:
+    specs, ranks, codes = _draw_game_spec(rng, source)
+    return _drawn_game_model(source, specs, _drawn_game(source, ranks), codes)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +417,9 @@ def _instances(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
     players = _PLAYERS.get(arena)
     for index in range(hi):
         if players is None:
-            game = _sampled_game(rng, source)
+            specs, ranks, codes = _draw_game_spec(rng, source)
             if index >= lo:
-                yield game
+                yield _drawn_game_model(source, specs, _drawn_game(source, ranks), codes)
             continue
         specs = [_draw_spec(rng, space) for _ in players]
         if index >= lo:
@@ -575,11 +604,6 @@ def _type_signal_of(op: BeliefOperator, kind: FamilyKind) -> Signal:
     return type_signal(type_mapping_of(op), kind)
 
 
-def _game_text(belief: BeliefModel, game: Game, rows) -> Callable[[], str]:
-    # the game model is built only when a listing is rendered
-    return lambda: serialize_model(game_model=GameModel(belief, game, rows))
-
-
 def _all_hold(op: BeliefOperator, axioms: tuple[Axiom, ...]) -> bool:
     return all(_holds(op, axiom) for axiom in axioms)
 
@@ -674,8 +698,6 @@ def _instance_text(
 
 def _observer_subject(facts):
     """The facts of the first player, the observer, and the second."""
-    if len(facts) < 2:
-        raise ValueError("pair claims need a model with at least two players")
     return facts[0], facts[1]
 
 
@@ -809,6 +831,8 @@ def _table_claim(
     players = _PLAYERS[arena]
 
     def check(model: BeliefModel, acc: _Acc) -> None:
+        if arena == "pair" and len(model.players) < 2:
+            raise ValueError("pair claims need a model with at least two players")
         facts = [fact(op) for op in model.operators.values()]
         tally(model.space, lambda: model, facts, acc, {})
 
@@ -1234,61 +1258,86 @@ def _shared_key(mutual, fact, memo: dict):
 
 
 # Game claims. Each is a per-player fact, which reads only that
-# player's operator, the strategy rows and the player's own ranks, and a
-# tally, tally(belief, game, rows, facts, acc, memo), which records one
-# instance from every player's fact; `memo` holds what depends only on
+# player's side of the game as integers (PlayerTables: the own belief
+# table, rank row, stride, opponent bases and played action indices),
+# and a tally, tally(n, codes, common, game, model, facts, acc, memo),
+# which records one instance on n states from every player's fact.
+# codes are the players' action indices at every state, common(rat)
+# gives the common-belief bits of an event, game() gives the Game and
+# model(game) the game model, called only to render a listing or, for
+# the game, when a premise is live; `memo` holds what depends only on
 # the belief model. A tally records an instance without a violation by
 # count, and builds its listing and walks its states only when
 # something is violated.
 
 
-def _chain_fact(chain: str) -> Callable:
-    """A player's verdict from the named chain in `games`."""
-    return lambda gm, p: globals()[chain](gm, p).status
+def _chain_fact(chain) -> Callable:
+    """A player's status of the chain, through `games.decide_chain`."""
+    return lambda view: decide_chain(chain, view)
 
 
-def _chain_tally(
-    belief: BeliefModel, game: Game, rows, facts, acc: _Acc, memo: dict
-) -> None:
+def _game_text(game: Callable, model: Callable) -> Callable[[], str]:
+    # the game model is built only when a listing is rendered
+    return lambda: serialize_model(game_model=model(game()))
+
+
+def _chain_tally(n, codes, common, game, model, facts, acc: _Acc, memo: dict) -> None:
     acc.add_instance()
     if ImplicationStatus.VIOLATED not in facts:
         confirmed = facts.count(ImplicationStatus.CONFIRMED)
         acc.count("implication", len(facts) - confirmed, confirmed)
         return
-    text = _game_text(belief, game, rows)
+    text = _game_text(game, model)
     for status in facts:
         acc.record("implication", status, text)
 
 
-def _rationality_fact(gm: GameModel, p: str) -> tuple[bool, int]:
-    """Whether p correctly believes own rationality, and the states where
-    p is rational."""
-    rat = rationality_event(gm, p).bits
-    return not gm.belief.operator(p).apply_bits(rat) & ~rat, rat
+def _rationality_fact(view: PlayerTables) -> tuple[bool, int]:
+    """Whether the player correctly believes own rationality, and the
+    states where the player is rational."""
+    rat = rationality_bits(view)
+    return not view.believe(rat) & ~rat, rat
 
 
-def _survival_tally(
-    belief: BeliefModel, game: Game, rows, facts, acc: _Acc, memo: dict
-) -> None:
+def _survival_tally(n, codes, common, game, model, facts, acc: _Acc, memo: dict) -> None:
     # status-equivalent to epistemic_iesda_verdict at every state
     acc.add_instance()
-    space = belief.space
-    premise = space.size - 1
+    premise = (1 << n) - 1
     for correct, rat in facts:
         if correct and rat not in memo:
-            memo[rat] = belief.common_belief(space.event_from_bits(rat)).bits
+            memo[rat] = common(rat)
         premise &= memo[rat] if correct else 0
     # without a live premise every state is vacuous, whatever survives
-    survived = premise and survival_bits(game, rows, maximal_trace(game))
+    survived = 0
+    if premise:
+        played = game()
+        survived = survival_bits(played, codes, maximal_trace(played))
     if not premise & ~survived:
         live = premise.bit_count()
-        acc.count("implication", space.n - live, live)
+        acc.count("implication", n - live, live)
         return
-    text = _game_text(belief, game, rows)
-    for k in range(space.n):
+    text = _game_text(game, model)
+    for k in range(n):
         acc.implication(
             "implication", bool(premise >> k & 1), bool(survived >> k & 1), text
         )
+
+
+def _common_bits(belief: BeliefModel, rat: int) -> int:
+    return belief.common_belief(belief.space.event_from_bits(rat)).bits
+
+
+def _player_tables(space: StateSpace, tables, ranks, sizes, codes) -> list[PlayerTables]:
+    """Each player's side of a game from integers: the belief tables, the
+    rank rows, the action counts and the action indices played."""
+    strides = profile_strides(sizes)
+    return [
+        PlayerTables(
+            space, table, table.__getitem__, rank, stride, size,
+            opponent_bases(strides, codes, idx), codes[idx],
+        )
+        for idx, (table, rank, stride, size) in enumerate(zip(tables, ranks, strides, sizes))
+    ]
 
 
 def _game_claim(fact: Callable, tally: Callable) -> dict:
@@ -1298,37 +1347,80 @@ def _game_claim(fact: Callable, tally: Callable) -> dict:
 
     In pattern game g the first player's ranks depend only on g // 9 and
     the second's only on g % 9, and a block fixes the belief model and
-    the strategies. A fact reads only the player's own operator, so the
-    sweep decides the nine facts of a player, own operator table and
-    strategy rows once, one per own pattern k on the diagonal game
-    10 * k, whose two players both have pattern k: 2 * 16 * 16 * 9 =
+    the strategies. A fact reads only the player's own side, so the
+    exhaustive sweep decides the nine facts of a player, own operator
+    table and strategy rows once, one per own pattern k on the diagonal
+    game 10 * k, whose two players both have pattern k: 2 * 16 * 16 * 9 =
     4,608 facts on two states. The fact memo lives for one sweep call,
     so a rebound callee is seen by the next call; the tally's memo lives
-    for one block, whose 81 instances share the belief model."""
+    for one block, whose 81 instances share the belief model.
+
+    The sampled sweep replays the draws as specs and turns each operator
+    spec into its table; a draw before lo only advances the stream. A
+    drawn game rarely repeats, so nothing is interned: each player's fact
+    is decided on the drawn tables, and common belief on their
+    intersection. The Game is built only for the elimination trace of an
+    instance with a live premise, and the game model only for a
+    listing."""
 
     def check(gm: GameModel, acc: _Acc) -> None:
-        facts = [fact(gm, p) for p in gm.game.players]
-        tally(gm.belief, gm.game, gm.strategies, facts, acc, {})
+        facts = [fact(player_tables(gm, p)) for p in gm.game.players]
+        common = partial(_common_bits, gm.belief)
+        tally(gm.space.n, gm._codes, common, lambda: gm.game, lambda _: gm, facts, acc, {})
 
     def sweep(source: ModelSource, lo: int, hi: int, acc: _Acc) -> None:
-        players = _pattern_game(0).players
+        n = source.n_states
+        space = standard_space(n)
+        if source.mode == "sampled-monotone":
+            sizes = (source.n_actions,) * source.n_players
+            full = space.size - 1
+            rng = random.Random(source.seed)
+            for index in range(hi):
+                specs, ranks, codes = _draw_game_spec(rng, source)
+                if index < lo:
+                    continue
+                tables = [
+                    kripke_table(spec, n)
+                    if isinstance(spec, tuple)
+                    else monotone_closure_table(spec, n)
+                    for spec in specs
+                ]
+                facts = [fact(view) for view in _player_tables(space, tables, ranks, sizes, codes)]
+                tally(
+                    n,
+                    codes,
+                    lambda rat: common_belief_bits(intersect_tables(tables), rat, full),
+                    partial(_drawn_game, source, ranks),
+                    partial(_drawn_game_model, source, specs, codes=codes),
+                    facts,
+                    acc,
+                    {},
+                )
+            return
+        first = _pattern_game(0)
+        sizes = tuple(map(len, first.actions))
+        patterns = [partial(_pattern_game, g) for g in range(81)]
         memo = {}
 
-        def own_facts(belief: BeliefModel, rows, idx: int) -> list:
-            p = players[idx]
-            key = (idx, belief.operator(p).table(), rows)
+        def own_facts(belief: BeliefModel, codes, idx: int) -> list:
+            tables = [op.table() for op in belief.operators.values()]
+            key = (idx, tables[idx], codes)
             if key not in memo:
+                view = _player_tables(space, tables, first.ranks, sizes, codes)[idx]
                 memo[key] = [
-                    fact(GameModel(belief, _pattern_game(10 * k), rows), p) for k in range(9)
+                    fact(view._replace(rank=_pattern_game(10 * k).ranks[idx])) for k in range(9)
                 ]
             return memo[key]
 
         for belief, rows, games in _game_blocks(source, lo, hi):
-            first, second = own_facts(belief, rows, 0), own_facts(belief, rows, 1)
+            codes = tuple(tuple(map(acts.index, row)) for acts, row in zip(first.actions, rows))
+            first_facts, second_facts = own_facts(belief, codes, 0), own_facts(belief, codes, 1)
+            common = partial(_common_bits, belief)
+            model = partial(GameModel, belief, strategies=rows)
             block = {}
             for g in games:
-                facts = (first[g // 9], second[g % 9])
-                tally(belief, _pattern_game(g), rows, facts, acc, block)
+                facts = (first_facts[g // 9], second_facts[g % 9])
+                tally(n, codes, common, patterns[g], model, facts, acc, block)
 
     return {
         "arena": "game",
@@ -1526,14 +1618,14 @@ _CLAIMS = (
         "strategy and type certainty with compatibility and Finite "
         "Conjunction make every player correctly believe own "
         "rationality",
-        **_game_claim(_chain_fact("correct_belief_chain"), _chain_tally),
+        **_game_claim(_chain_fact(CORRECT_BELIEF), _chain_tally),
     ),
     ClaimSpec(
         "consistent-introspective-kripke-players-believe-own-rationality",
         ("thm2-kripke-pi",),
         "consistent, positively introspective Kripke players who are "
         "certain of their strategies correctly believe own rationality",
-        **_game_claim(_chain_fact("introspective_correct_belief_chain"), _chain_tally),
+        **_game_claim(_chain_fact(INTROSPECTIVE_CORRECT_BELIEF), _chain_tally),
     ),
     ClaimSpec(
         "negatively-introspective-kripke-rationality-is-self-evident",
@@ -1541,7 +1633,7 @@ _CLAIMS = (
         "for negatively introspective Kripke players certain of their "
         "strategies, own rationality is self-evident: the event implies "
         "belief in it",
-        **_game_claim(_chain_fact("self_evident_rationality_chain"), _chain_tally),
+        **_game_claim(_chain_fact(SELF_EVIDENT_RATIONALITY), _chain_tally),
     ),
     ClaimSpec(
         "common-rationality-belief-implies-iesda-survival",
@@ -1674,7 +1766,7 @@ def resolve_claim(claim: str) -> ClaimSpec:
 def _run_range(claim_id: str, source: ModelSource, lo: int, hi: int, cap: int) -> _Acc:
     spec = resolve_claim(claim_id)
     acc = _Acc(spec.directions, cap)
-    if source.mode in _SWEPT_MODES[spec.arena] and source.n_states <= EXHAUSTIVE_STATE_LIMIT:
+    if source.n_states <= _SWEPT_MODES[spec.arena].get(source.mode, 0):
         spec.sweep(source, lo, hi, acc)
     else:
         for instance in _instances(spec.arena, source, lo, hi):

@@ -9,6 +9,7 @@ every checked property held, 1 means a property or claim was violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -435,7 +436,10 @@ def _cmd_enumerate(args, em: _Emitter) -> int:
 # argument wiring
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # built on the first query and reused: parsing fills a new namespace
+    # each time, and an `append` option copies its default list
     parser = argparse.ArgumentParser(
         prog="beliefcheck",
         description="Check finite qualitative belief models: axioms, common "

@@ -13,7 +13,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     Axiom,
@@ -22,13 +22,25 @@ from .core import (
     Event,
     ImplicationReport,
     ImplicationStatus,
+    StateSpace,
 )
-from .core import _witness
-from .informativeness import COMPATIBILITY, compatible_with_informativeness
+from .core import _AXIOM_CHECKS, _witness
+from .informativeness import COMPATIBILITY, uncorroborated_bits
 from .signals import CertaintyReport, Signal, certain_of
 
 RELATIONS = (">=", ">", "~")
 _COMPARE = {">=": operator.ge, ">": operator.gt, "~": operator.eq}
+
+
+def profile_strides(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Per player, the weight of its action index in the profile index:
+    the product of the action counts of the players after it."""
+    strides = []
+    total = 1
+    for size in reversed(sizes):
+        strides.append(total)
+        total *= size
+    return tuple(reversed(strides))
 
 
 @dataclass(frozen=True)
@@ -58,15 +70,12 @@ class Game:
                 raise ValueError("every player needs at least one action")
             if len(set(acts)) != len(acts):
                 raise ValueError("duplicate actions for a player")
-        strides = []
-        total = 1
-        for acts in reversed(self.actions):
-            strides.append(total)
-            total *= len(acts)
+        strides = profile_strides(tuple(map(len, self.actions)))
+        total = strides[0] * len(self.actions[0])
         for row in self.ranks:
             if len(row) != total:
                 raise ValueError("ranks must cover every action profile")
-        object.__setattr__(self, "_strides", tuple(reversed(strides)))
+        object.__setattr__(self, "_strides", strides)
 
     @classmethod
     def of(
@@ -198,14 +207,51 @@ class GameModel:
         return tuple(row[i] for row in self.strategies)
 
 
-def _opponent_bases(gm: GameModel, idx: int) -> list[int]:
-    """Per state, the index of the played profile minus the player's own
-    action: adding alt·stride gives the profile where the player plays alt."""
-    bases = [0] * gm.space.n
-    for j, (stride, row) in enumerate(zip(gm.game._strides, gm._codes)):
+class PlayerTables(NamedTuple):
+    """One player's side of a game model as integers: all that the
+    rationality and chain procedures read. `table` is the player's belief
+    table, None past TABLE_LIMIT states, and `believe` maps an event mask
+    to its believed image. `bases` holds, per state, the index of the
+    played profile minus the player's own action, so that adding
+    alt * stride gives the profile where the player plays alt; `played`
+    holds the player's action index at every state."""
+
+    space: StateSpace
+    table: tuple[int, ...] | None
+    believe: Callable[[int], int]
+    rank: tuple[int, ...]
+    stride: int
+    n_actions: int
+    bases: list[int]
+    played: tuple[int, ...]
+
+
+def opponent_bases(strides: Sequence[int], codes, idx: int) -> list[int]:
+    """Per state, the profile index played there minus player idx's own
+    action; codes[j] is player j's action index at every state."""
+    bases = [0] * len(codes[idx])
+    for j, (stride, row) in enumerate(zip(strides, codes)):
         if j != idx:
             bases = [b + c * stride for b, c in zip(bases, row)]
     return bases
+
+
+def player_tables(gm: GameModel, player: str) -> PlayerTables:
+    """The player's side of the game model, as integers."""
+    game = gm.game
+    idx = game.player_index(player)
+    op = gm.belief.operator(player)
+    table = op._table
+    return PlayerTables(
+        gm.space,
+        table,
+        op.apply_bits if table is None else table.__getitem__,
+        game.ranks[idx],
+        game._strides[idx],
+        len(game.actions[idx]),
+        opponent_bases(game._strides, gm._codes, idx),
+        gm._codes[idx],
+    )
 
 
 def _preference_bits(rank, bases, alt: int, ref: int, compare) -> int:
@@ -234,7 +280,7 @@ def preference_event(
     stride = game._strides[idx]
     bits = _preference_bits(
         game.ranks[idx],
-        _opponent_bases(gm, idx),
+        opponent_bases(game._strides, gm._codes, idx),
         acts.index(alt) * stride,
         acts.index(ref) * stride,
         _COMPARE[relation],
@@ -242,27 +288,24 @@ def preference_event(
     return Event(gm.space, bits)
 
 
-def _rational_bits(gm: GameModel, player: str) -> int:
+def _action_masks(played: Sequence[int]) -> dict[int, int]:
+    """Per action index played somewhere, the states playing it."""
+    masks: dict[int, int] = {}
+    for i, code in enumerate(played):
+        masks[code] = masks.get(code, 0) | 1 << i
+    return masks
+
+
+def rationality_bits(view: PlayerTables) -> int:
     """States where no action is believed to do strictly better than the
     one played there, decided per played action over all alternatives."""
-    game = gm.game
-    idx = game.player_index(player)
-    op = gm.belief.operator(player)
-    rank, stride = game.ranks[idx], game._strides[idx]
-    bases = _opponent_bases(gm, idx)
-    played = gm._codes[idx]
-    alts = range(0, len(game.actions[idx]) * stride, stride)
+    rank, stride, bases, believe = view.rank, view.stride, view.bases, view.believe
+    alts = range(0, view.n_actions * stride, stride)
     bits = 0
-    for ref in set(played):
-        states = 0
-        for i, code in enumerate(played):
-            if code == ref:
-                states |= 1 << i
+    for ref, states in _action_masks(view.played).items():
         own = ref * stride
         for alt in alts:
-            states &= ~op.apply_bits(
-                _preference_bits(rank, bases, alt, own, operator.gt)
-            )
+            states &= ~believe(_preference_bits(rank, bases, alt, own, operator.gt))
             if not states:
                 break
         bits |= states
@@ -272,7 +315,7 @@ def _rational_bits(gm: GameModel, player: str) -> int:
 def rationality_event(gm: GameModel, player: str) -> Event:
     """No alternative is believed to do strictly better than the action
     played; with total ranks, the restated form: never believed worse."""
-    return Event(gm.space, _rational_bits(gm, player))
+    return Event(gm.space, rationality_bits(player_tables(gm, player)))
 
 
 def strategy_signal(gm: GameModel, player: str) -> Signal:
@@ -405,95 +448,148 @@ def survives(trace: EliminationTrace, profile: Sequence[str]) -> bool:
     )
 
 
-def survival_bits(game: Game, rows, trace: EliminationTrace) -> int:
+def survival_bits(game: Game, codes, trace: EliminationTrace) -> int:
     """States whose played profile survives: per player, the states
-    playing an action that the trace keeps. rows[i] is player i's action
-    at every state, as in GameModel.strategies."""
-    bits = (1 << len(rows[0])) - 1
-    for acts, alive, row in zip(game.actions, trace.survivors, rows):
+    playing an action that the trace keeps. codes[i] is player i's
+    action index at every state."""
+    bits = (1 << len(codes[0])) - 1
+    for acts, alive, row in zip(game.actions, trace.survivors, codes):
         if len(alive) < len(acts):
-            for i, action in enumerate(row):
-                if action not in alive:
+            for i, code in enumerate(row):
+                if acts[code] not in alive:
                     bits &= ~(1 << i)
     return bits
 
 
 def survival_event(gm: GameModel, trace: EliminationTrace) -> Event:
     """The event of survival_bits on a game model."""
-    return Event(gm.space, survival_bits(gm.game, gm.strategies, trace))
+    return Event(gm.space, survival_bits(gm.game, gm._codes, trace))
+
+
+# The chains of the game result. Each is declared once, as labelled
+# premise predicates on a player's tables and a conclusion: the states
+# where it fails, given the player's rationality bits. The report
+# functions evaluate every premise; decide_chain stops at the first that
+# fails, since a status reads no more.
+
+
+def _certain_of_strategy(view: PlayerTables) -> bool:
+    """Every own strategy event is believed wherever it holds."""
+    believe = view.believe
+    return not any(mask & ~believe(mask) for mask in _action_masks(view.played).values())
+
+
+def _compatible(view: PlayerTables) -> bool:
+    return not any(uncorroborated_bits(view.table))
+
+
+def _axiom(axiom: Axiom) -> tuple[str, Callable[[PlayerTables], bool]]:
+    return axiom.value, lambda view: _AXIOM_CHECKS[axiom](view.space, view.table).holds
+
+
+def _believed_irrational(view: PlayerTables, rat: int) -> int:
+    """States believing own rationality outside it."""
+    return view.believe(rat) & ~rat
+
+
+def _unbelieved_rational(view: PlayerTables, rat: int) -> int:
+    """Rational states not believing own rationality."""
+    return rat & ~view.believe(rat)
+
+
+class Chain(NamedTuple):
+    """Premises that force a conclusion about one's own rationality; the
+    conclusion's check name takes the player as {p}."""
+
+    name: str
+    premises: tuple[tuple[str, Callable[[PlayerTables], bool]], ...]
+    conclusion: str
+    failures: Callable[[PlayerTables, int], int]
+
+
+_CERTAIN = ("certain of own strategy", _certain_of_strategy)
+_CORRECT = "B_{p}(RAT_{p}) <= RAT_{p}"
+CORRECT_BELIEF = Chain(
+    "certain-strategy-compatible-conjunctive-implies-correct-rationality-belief",
+    (_CERTAIN, (COMPATIBILITY, _compatible), _axiom(Axiom.FINITE_CONJUNCTION)),
+    _CORRECT,
+    _believed_irrational,
+)
+INTROSPECTIVE_CORRECT_BELIEF = Chain(
+    "consistent-introspective-kripke-implies-correct-rationality-belief",
+    (
+        _axiom(Axiom.CONSISTENCY),
+        _axiom(Axiom.POSITIVE_INTROSPECTION),
+        _axiom(Axiom.KRIPKE),
+        _CERTAIN,
+    ),
+    _CORRECT,
+    _believed_irrational,
+)
+SELF_EVIDENT_RATIONALITY = Chain(
+    "negative-introspection-kripke-implies-self-evident-rationality",
+    (_axiom(Axiom.NEGATIVE_INTROSPECTION), _axiom(Axiom.KRIPKE), _CERTAIN),
+    "RAT_{p} <= B_{p}(RAT_{p})",
+    _unbelieved_rational,
+)
+
+
+def _premises(chain: Chain, view: PlayerTables):
+    # every chain reads an axiom or the columns of the full table
+    if view.table is None:
+        raise ValueError("state space too large for explicit event tables")
+    return ((label, holds(view)) for label, holds in chain.premises)
+
+
+def decide_chain(chain: Chain, view: PlayerTables) -> ImplicationStatus:
+    """The status of the chain for the player with these tables."""
+    if not all(held for _, held in _premises(chain, view)):
+        return ImplicationStatus.VACUOUS
+    if chain.failures(view, rationality_bits(view)):
+        return ImplicationStatus.VIOLATED
+    return ImplicationStatus.CONFIRMED
+
+
+def _conclusion(chain: Chain, view: PlayerTables, player: str) -> CheckReport:
+    rat = rationality_bits(view)
+    bad = chain.failures(view, rat)
+    name = chain.conclusion.format(p=player)
+    return CheckReport(name, not bad, _witness(view.space, rat, bad))
+
+
+def _chain_report(chain: Chain, gm: GameModel, player: str) -> ImplicationReport:
+    view = player_tables(gm, player)
+    premises = tuple(_premises(chain, view))
+    conclusion = _conclusion(chain, view, player)
+    return ImplicationReport(
+        name=chain.name,
+        premises=premises,
+        conclusion=(conclusion.check, conclusion.holds),
+        witness=conclusion.witness,
+    )
 
 
 def correct_belief_in_own_rationality(gm: GameModel, player: str) -> CheckReport:
     """Containment of believed-rational inside actually-rational."""
-    rat = rationality_event(gm, player)
-    extra = gm.belief.operator(player).apply(rat).bits & ~rat.bits
-    name = f"B_{player}(RAT_{player}) <= RAT_{player}"
-    return CheckReport(name, not extra, _witness(gm.space, rat.bits, extra))
+    return _conclusion(CORRECT_BELIEF, player_tables(gm, player), player)
 
 
 def correct_belief_chain(gm: GameModel, player: str) -> ImplicationReport:
     """Strategy certainty, compatibility, and conjunction force the
     player to correctly believe her own rationality."""
-    op = gm.belief.operator(player)
-    certainty = certain_of(gm.belief, player, strategy_signal(gm, player))
-    compat = compatible_with_informativeness(op)
-    conjunction = op.check_axiom(Axiom.FINITE_CONJUNCTION)
-    containment = correct_belief_in_own_rationality(gm, player)
-    return ImplicationReport(
-        name="certain-strategy-compatible-conjunctive-implies-correct-rationality-belief",
-        premises=(
-            ("certain of own strategy", certainty.holds),
-            (COMPATIBILITY, compat.holds),
-            ("FiniteConjunction", conjunction.holds),
-        ),
-        conclusion=(containment.check, containment.holds),
-        witness=containment.witness,
-    )
+    return _chain_report(CORRECT_BELIEF, gm, player)
 
 
 def introspective_correct_belief_chain(gm: GameModel, player: str) -> ImplicationReport:
     """Sufficient-condition variant through Consistency, Positive
     Introspection, and the Kripke property."""
-    op = gm.belief.operator(player)
-    certainty = certain_of(gm.belief, player, strategy_signal(gm, player))
-    containment = correct_belief_in_own_rationality(gm, player)
-    return ImplicationReport(
-        name="consistent-introspective-kripke-implies-correct-rationality-belief",
-        premises=(
-            ("Consistency", op.check_axiom(Axiom.CONSISTENCY).holds),
-            (
-                "PositiveIntrospection",
-                op.check_axiom(Axiom.POSITIVE_INTROSPECTION).holds,
-            ),
-            ("Kripke", op.check_axiom(Axiom.KRIPKE).holds),
-            ("certain of own strategy", certainty.holds),
-        ),
-        conclusion=(containment.check, containment.holds),
-        witness=containment.witness,
-    )
+    return _chain_report(INTROSPECTIVE_CORRECT_BELIEF, gm, player)
 
 
 def self_evident_rationality_chain(gm: GameModel, player: str) -> ImplicationReport:
     """Negative Introspection and the Kripke property make one's own
     rationality self-evident."""
-    op = gm.belief.operator(player)
-    certainty = certain_of(gm.belief, player, strategy_signal(gm, player))
-    rat = rationality_event(gm, player)
-    missing = rat.bits & ~op.apply(rat).bits
-    name = f"RAT_{player} <= B_{player}(RAT_{player})"
-    return ImplicationReport(
-        name="negative-introspection-kripke-implies-self-evident-rationality",
-        premises=(
-            (
-                "NegativeIntrospection",
-                op.check_axiom(Axiom.NEGATIVE_INTROSPECTION).holds,
-            ),
-            ("Kripke", op.check_axiom(Axiom.KRIPKE).holds),
-            ("certain of own strategy", certainty.holds),
-        ),
-        conclusion=(name, missing == 0),
-        witness=_witness(gm.space, rat.bits, missing),
-    )
+    return _chain_report(SELF_EVIDENT_RATIONALITY, gm, player)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ informative as the believer's own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .core import (
     Axiom,
@@ -20,6 +21,7 @@ from .core import (
     ImplicationReport,
 )
 from .core import _first_failure
+from .qualitative import _columns
 from .qualitative import (
     FamilyKind,
     QualitativeTypeMapping,
@@ -73,8 +75,20 @@ def upward_set(mapping: QualitativeTypeMapping, state: str) -> Event:
     return Event(mapping.space, bits)
 
 
-def _upward_bits(mapping: QualitativeTypeMapping) -> list[int]:
-    return [upward_set(mapping, s).bits for s in mapping.space.states]
+def uncorroborated_bits(table: Sequence[int]) -> Iterator[int]:
+    """Per event mask, in order, the states that believe the event while
+    no state at least as informative as them lies in it; all zero exactly
+    when the table is compatible with informativeness. A state's upward
+    set holds the states whose columns contain its own."""
+    columns = _columns(table, len(table).bit_length() - 1)
+    upward = [
+        sum(1 << j for j, other in enumerate(columns) if not own & ~other)
+        for own in columns
+    ]
+    for e, believers in enumerate(table):
+        yield sum(
+            1 << i for i, up in enumerate(upward) if believers >> i & 1 and not up & e
+        )
 
 
 def compatible_with_informativeness(op: BeliefOperator) -> AxiomReport:
@@ -84,13 +98,7 @@ def compatible_with_informativeness(op: BeliefOperator) -> AxiomReport:
     the believer's upward set lies in E; the first such pair in event
     order, then state order, is the witness.
     """
-    upward = _upward_bits(type_mapping_of(op))
-    # per event, the believers whose upward set misses it
-    uncorroborated = (
-        sum(1 << i for i, up in enumerate(upward) if believers >> i & 1 and not up & e)
-        for e, believers in enumerate(op.table())
-    )
-    witness = _first_failure(op.space, uncorroborated)
+    witness = _first_failure(op.space, uncorroborated_bits(op.table()))
     return AxiomReport(COMPATIBILITY, witness is None, witness)
 
 

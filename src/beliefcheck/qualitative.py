@@ -113,17 +113,22 @@ class QualitativeTypeMapping:
         return Event(self.space, bits)
 
 
-def type_mapping_of(op: BeliefOperator) -> QualitativeTypeMapping:
-    """Each state's column of the operator: which events are believed there."""
-    space = op.space
-    table = op.table()
-    masks = [0] * space.n
+def _columns(table: Sequence[int], n: int) -> list[int]:
+    """Per state, the mask of the events believed there: bit e of the
+    column of state i is bit i of table[e]."""
+    masks = [0] * n
     for e, img in enumerate(table):
         while img:
             low = img & -img
             masks[low.bit_length() - 1] |= 1 << e
             img ^= low
-    types = tuple(QualitativeType(space, m) for m in masks)
+    return masks
+
+
+def type_mapping_of(op: BeliefOperator) -> QualitativeTypeMapping:
+    """Each state's column of the operator: which events are believed there."""
+    space = op.space
+    types = tuple(QualitativeType(space, m) for m in _columns(op.table(), space.n))
     return QualitativeTypeMapping(space, types, op.owner)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from beliefcheck.core import (
@@ -33,6 +35,17 @@ def space2() -> StateSpace:
 @pytest.fixture
 def space3() -> StateSpace:
     return StateSpace(["ω1", "ω2", "ω3"])
+
+
+@pytest.fixture
+def monotone_operators2(space2) -> list[BeliefOperator]:
+    """Every monotone operator on two states, built from its table: 36."""
+    size = space2.size
+    return [
+        BeliefOperator.from_table(space2, table)
+        for table in itertools.product(range(size), repeat=size)
+        if all(not table[e] & ~table[f] for e in range(size) for f in range(size) if not e & ~f)
+    ]
 
 
 def blindspot_operator(space: StateSpace, owner: str | None = None) -> BeliefOperator:

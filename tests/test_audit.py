@@ -6,7 +6,6 @@ import importlib
 import itertools
 import json
 import os
-import types
 from pathlib import Path
 
 import pytest
@@ -40,6 +39,7 @@ from beliefcheck.audit import (
     _GAME_PROFILE_LIMIT,
 )
 from beliefcheck.core import (
+    TABLE_LIMIT,
     Axiom,
     BeliefModel,
     BeliefOperator,
@@ -56,10 +56,12 @@ from beliefcheck.cli import run_cli
 from beliefcheck.dsl import parse_model_spec, serialize_model
 from beliefcheck.games import (
     EliminationTrace,
+    Game,
     GameModel,
-    correct_belief_chain,
+    decide_chain,
     epistemic_iesda_verdict,
-    rationality_event,
+    player_tables,
+    rationality_bits,
 )
 import random
 
@@ -446,19 +448,16 @@ def _blocked(claim, source, lo, hi, cap):
     return _accumulated(_run_range(resolve_claim(claim).canonical, source, lo, hi, cap))
 
 
-def _own_weight(gm, player):
-    """A number read only from the player's operator, strategy row and
-    ranks: the facts a block check may share across a block."""
-    idx = gm.game.player_index(player)
-    table = gm.belief.operator(player).table()
-    weight = sum((k + 1) * bits for k, bits in enumerate(table))
-    weight = 31 * weight + sum((k + 1) * r for k, r in enumerate(gm.game.ranks[idx]))
-    return 31 * weight + sum((k + 1) * (a == "b") for k, a in enumerate(gm.strategies[idx]))
+def _own_weight(view):
+    """A number read only from the player's belief table, ranks and
+    played actions: the facts a block check may share across a block."""
+    weight = sum((k + 1) * bits for k, bits in enumerate(view.table))
+    weight = 31 * weight + sum((k + 1) * r for k, r in enumerate(view.rank))
+    return 31 * weight + sum((k + 1) * a for k, a in enumerate(view.played))
 
 
-def _forced_chain(gm, player):
-    statuses = tuple(ImplicationStatus)
-    return types.SimpleNamespace(status=statuses[_own_weight(gm, player) % 3])
+def _forced_chain(chain, view):
+    return tuple(ImplicationStatus)[_own_weight(view) % 3]
 
 
 def _forced_trace(game):
@@ -506,7 +505,7 @@ class TestGameBlocks:
     @pytest.mark.parametrize("cap", [0, 3, 40])
     @pytest.mark.parametrize("lo,hi", GAME_SLICES)
     def test_forced_chain_violations_list_alike(self, monkeypatch, lo, hi, cap):
-        monkeypatch.setattr("beliefcheck.audit.correct_belief_chain", _forced_chain)
+        monkeypatch.setattr("beliefcheck.audit.decide_chain", _forced_chain)
         blocked = _blocked("thm2", self.SRC, lo, hi, cap)
         assert blocked == _per_instance("thm2", self.SRC, lo, hi, cap)
         assert blocked["violations_total"] > 0
@@ -522,11 +521,13 @@ class TestGameBlocks:
         assert len(blocked["violations"]) == min(cap, blocked["violations_total"])
 
     def test_forced_witness_is_the_failing_instance(self, monkeypatch):
-        monkeypatch.setattr("beliefcheck.audit.correct_belief_chain", _forced_chain)
+        monkeypatch.setattr("beliefcheck.audit.decide_chain", _forced_chain)
         lo, hi = GAME_SLICES[1]
         listed = _blocked("thm2", self.SRC, lo, hi, 1)["violations"]
         for gm in _instances("game", self.SRC, lo, hi):
-            if any(_forced_chain(gm, p).status == "violated" for p in gm.game.players):
+            if any(
+                _forced_chain(None, player_tables(gm, p)) == "violated" for p in gm.game.players
+            ):
                 assert listed == [serialize_model(game_model=gm)]
                 break
         else:
@@ -548,19 +549,21 @@ class TestGameBlocks:
                     gm = GameModel(_pair_model(2, a, b), game, rows)
                     own_first = GameModel(_pair_model(2, a, 0), game, rows)
                     own_second = GameModel(_pair_model(2, 0, b), game, rows)
-                    assert _rationality_fact(gm, "p1") == _rationality_fact(own_first, "p1")
-                    assert _rationality_fact(gm, "p2") == _rationality_fact(own_second, "p2")
+                    for p, own in (("p1", own_first), ("p2", own_second)):
+                        assert _rationality_fact(player_tables(gm, p)) == _rationality_fact(
+                            player_tables(own, p)
+                        )
 
     @pytest.mark.parametrize(
-        "claim,callee", [("thm2", correct_belief_chain), ("epistemic-iesda", rationality_event)]
+        "claim,callee", [("thm2", decide_chain), ("epistemic-iesda", rationality_bits)]
     )
     def test_each_distinct_fact_is_decided_once(self, monkeypatch, claim, callee):
         # 2 players, 16 own operators, 16 strategy pairs, 9 own patterns
         calls = []
 
-        def counting(gm, player):
-            calls.append(player)
-            return callee(gm, player)
+        def counting(*args):
+            calls.append(args)
+            return callee(*args)
 
         monkeypatch.setattr(f"beliefcheck.audit.{callee.__name__}", counting)
         assert audit(claim, self.SRC, jobs=1).instances == 331_776
@@ -966,6 +969,144 @@ class TestSampledPairSweeps:
         assert json.dumps(one.to_dict()) == json.dumps(two.to_dict())
         if claim == "strict-iteration-gap":
             assert one.counterexamples_total == 25
+
+
+def _sampled_games(n, players, actions, seed, count):
+    return ModelSource(
+        mode="sampled-monotone", n_states=n, n_players=players, n_actions=actions,
+        seed=seed, count=count,
+    )
+
+
+# The benchmark's sampled game source, and slices of sampled game
+# streams with 1 to 5 states, 1 to 3 players and 1 to 3 actions. Every
+# slice starts past the stream's start, as a worker chunk does, so the
+# sweep replays the draws before it.
+BENCHMARK_GAMES = _sampled_games(4, 2, 3, seed=7, count=5000)
+SAMPLED_GAME_SLICES = (
+    (_sampled_games(1, 1, 3, seed=2, count=300), 17, 300),
+    (_sampled_games(2, 3, 2, seed=5, count=300), 40, 300),
+    (_sampled_games(2, 2, 1, seed=4, count=200), 3, 200),
+    (_sampled_games(3, 2, 3, seed=1, count=300), 1, 250),
+    (_sampled_games(3, 3, 3, seed=6, count=120), 60, 120),
+    (BENCHMARK_GAMES, 4_700, 5_000),
+    (_sampled_games(5, 2, 2, seed=3, count=100), 10, 100),
+)
+# SHA-256 of the sorted JSON report of each game claim on the benchmark's
+# sampled game source, recorded with the per-instance checks before the
+# sampled game stream was swept.
+SAMPLED_GAME_DIGESTS = {
+    "thm2": "ec22eaf94ff31e26fb46ad11efd9495b74d580a78e3e7acf6f5eb7ac3e87d698",
+    "thm2-kripke-pi": "d7efaa6f6494769eb119331adec2398ed7aa8aa276dad273b7cce2dbb6d56a1e",
+    "thm2-kripke-ni": "bd87f9eedd33c116b225b04b76025cd4f44cfdf23afc76dcc939050d0c117398",
+    "epistemic-iesda": "767c61fe529d16403bf41ad37a35a85ba6ab3486452960b7f187cfba58aa6b56",
+}
+
+
+def _count_constructions(monkeypatch, classes) -> dict:
+    """Count the instances built of each class from here on."""
+    built = {cls.__name__: 0 for cls in classes}
+    for cls in classes:
+        post_init = cls.__post_init__
+
+        def counting(self, post_init=post_init, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
+
+
+class TestSampledGameSweeps:
+    @pytest.mark.parametrize("claim", GAME_CLAIMS)
+    @pytest.mark.parametrize("source,lo,hi", SAMPLED_GAME_SLICES)
+    def test_sweep_matches_per_instance(self, claim, source, lo, hi):
+        assert _blocked(claim, source, lo, hi, 5) == _reference(claim, source, lo, hi, 5)
+
+    @pytest.mark.parametrize("cap", [0, 3, 40])
+    @pytest.mark.parametrize("claim", GAME_CLAIMS)
+    def test_forced_failures_list_alike(self, monkeypatch, claim, cap):
+        monkeypatch.setattr("beliefcheck.audit.decide_chain", _forced_chain)
+        monkeypatch.setattr("beliefcheck.audit.maximal_trace", _forced_trace)
+        listed = []
+        found = 0
+        for source, lo, hi in SAMPLED_GAME_SLICES:
+            swept = _blocked(claim, source, lo, hi, cap)
+            assert swept == _reference(claim, source, lo, hi, cap), (source, lo, hi)
+            assert len(swept["violations"]) == min(cap, swept["violations_total"])
+            found += swept["violations_total"]
+            listed += swept["violations"]
+        assert found > 0
+        if cap == 40:
+            # drawn operators list as drawn: kripke blocks and table blocks
+            text = "".join(listed)
+            assert "kripke {" in text and "table {" in text
+
+    @pytest.mark.parametrize("claim", ["thm2", "epistemic-iesda"])
+    def test_parallel_sweep_matches_inline(self, claim):
+        one = json.dumps(audit(claim, BENCHMARK_GAMES, jobs=1).to_dict())
+        two = json.dumps(audit(claim, BENCHMARK_GAMES, jobs=2).to_dict())
+        assert one == two
+
+    @pytest.mark.parametrize("claim", GAME_CLAIMS)
+    def test_report_is_unchanged(self, claim):
+        result = audit(claim, BENCHMARK_GAMES)
+        text = json.dumps(result.to_dict(), sort_keys=True, ensure_ascii=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == SAMPLED_GAME_DIGESTS[claim]
+
+    @pytest.mark.parametrize("claim", GAME_CLAIMS)
+    def test_violation_free_sweep_builds_no_model(self, monkeypatch, claim):
+        # only the elimination trace of an instance with a live premise
+        # needs a Game
+        built = _count_constructions(monkeypatch, (BeliefOperator, Game, GameModel))
+        acc = _run_range(resolve_claim(claim).canonical, BENCHMARK_GAMES, 4_000, 5_000, 5)
+        assert acc.instances == 1_000 and acc.violations_total == 0
+        live = acc.tallies["implication"][_STATUS_INDEX["confirmed"]]
+        assert live > 0
+        assert built["BeliefOperator"] == built["GameModel"] == 0
+        if claim == "epistemic-iesda":
+            assert 0 < built["Game"] <= live
+        else:
+            assert built["Game"] == 0
+
+    def test_draws_before_the_slice_only_advance_the_stream(self, monkeypatch):
+        import beliefcheck.audit as audit_module
+
+        built = _count_constructions(monkeypatch, (BeliefOperator, Game, GameModel))
+        assert len(list(_instances("game", BENCHMARK_GAMES, 4_990, 5_000))) == 10
+        assert built == {"BeliefOperator": 20, "Game": 10, "GameModel": 10}
+        tables = []
+        for name in ("kripke_table", "monotone_closure_table"):
+            real = getattr(audit_module, name)
+            monkeypatch.setattr(
+                audit_module, name, lambda *args, real=real: tables.append(args) or real(*args)
+            )
+        _run_range(resolve_claim("thm2").canonical, BENCHMARK_GAMES, 4_990, 5_000, 5)
+        assert len(tables) == 20
+
+    def test_larger_spaces_run_the_per_instance_check(self, monkeypatch):
+        # past TABLE_LIMIT states a drawn operator has no table: the
+        # monotone closures cannot be built and the chains cannot be
+        # decided, while epistemic-iesda decides Kripke draws. Each
+        # outcome is the one recorded before the sampled game stream was
+        # swept
+        def no_table(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr("beliefcheck.audit.kripke_table", no_table)
+        monkeypatch.setattr("beliefcheck.audit.monotone_closure_table", no_table)
+        large = "state space too large for explicit event tables"
+        # (vacuous, confirmed, violated) of epistemic-iesda, or the error
+        outcomes = {0: large, 1: (17, 0, 0), 2: large, 9: (0, 17, 0)}
+        for seed, expect in outcomes.items():
+            src = _sampled_games(TABLE_LIMIT + 1, 1, 2, seed=seed, count=1)
+            for claim in GAME_CLAIMS:
+                if claim != "epistemic-iesda" or expect == large:
+                    with pytest.raises(ValueError, match=f"^{large}$"):
+                        audit(claim, src)
+                else:
+                    (tally,) = audit(claim, src).directions
+                    assert (tally.vacuous, tally.confirmed, tally.violated) == expect
 
 
 OPERATOR_CLAIMS = tuple(spec.canonical for spec in _CLAIMS if spec.arena == "operator")
@@ -1533,11 +1674,11 @@ class TestCalleesResolvedAtCallTime:
     def test_patched_chain_sees_every_player(self, monkeypatch):
         calls = []
 
-        def counting(gm, player):
-            calls.append(player)
-            return correct_belief_chain(gm, player)
+        def counting(chain, view):
+            calls.append(view)
+            return decide_chain(chain, view)
 
-        monkeypatch.setattr("beliefcheck.audit.correct_belief_chain", counting)
+        monkeypatch.setattr("beliefcheck.audit.decide_chain", counting)
         src = ModelSource(mode="sampled-monotone", n_states=2, n_actions=2, seed=1, count=12)
         result = audit("thm2", src)
         assert result.instances == 12

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import beliefcheck
+from beliefcheck import cli
+from beliefcheck.audit import _CLAIMS
 from beliefcheck.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -295,6 +297,55 @@ class TestAudit:
         assert code == 2
         assert out == ""
         assert "cap must not be negative" in err
+
+
+# the 13 pair claims, whose instances pair an observer with a subject
+PAIR_CLAIMS = tuple(
+    spec.canonical for spec in _CLAIMS if spec.arena == "pair"
+)
+ONE_PLAYER = """states ω1 ω2;
+
+player 1 {
+  table {
+    {}: {},
+    {ω1}: {ω1},
+    {ω2}: {},
+    {ω1, ω2}: {ω1, ω2}
+  }
+}
+"""
+
+
+class TestOnePlayerFiles:
+    def test_every_pair_claim_is_listed(self):
+        assert len(PAIR_CLAIMS) == 13
+
+    @pytest.mark.parametrize("claim", PAIR_CLAIMS)
+    def test_pair_claims_refuse_one_player(self, capsys, tmp_path, claim):
+        path = tmp_path / "one.bm"
+        path.write_text(ONE_PLAYER, encoding="utf-8")
+        code, out, err = run(capsys, "audit", "--claim", claim, "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: pair claims need a model with at least two players\n"
+
+
+class TestParserReuse:
+    def test_options_do_not_carry_over(self, capsys):
+        # the parser is built once; an `append` option and the mode
+        # default still start afresh on every call
+        assert cli._parser() is cli._parser()
+        results = []
+        for claim, *rest in (
+            ("epistemic-iesda", "--file", PD, "--file", PD),
+            ("prop1-1a", "--states", "1"),
+            ("epistemic-iesda", "--file", PD),
+        ):
+            code, out, _ = run(capsys, "--format", "json", "audit", "--claim", claim, *rest)
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        assert [r["files"] for r in results] == [[PD, PD], [], [PD]]
+        assert [r["mode"] for r in results] == ["from-files", "exhaustive-kripke", "from-files"]
 
 
 # every command that reads model files, with the path to read last

@@ -11,20 +11,27 @@ from beliefcheck.core import (
     Axiom,
     BeliefModel,
     BeliefOperator,
+    Event,
     ImplicationStatus,
     PossibilityCorrespondence,
     StateSpace,
 )
 from beliefcheck.games import (
+    CORRECT_BELIEF,
+    INTROSPECTIVE_CORRECT_BELIEF,
+    SELF_EVIDENT_RATIONALITY,
     EliminationTrace,
     Game,
     GameModel,
     correct_belief_chain,
     correct_belief_in_own_rationality,
+    decide_chain,
     epistemic_iesda_verdict,
     iesda,
     introspective_correct_belief_chain,
+    player_tables,
     preference_event,
+    rationality_bits,
     rationality_event,
     self_evident_rationality_chain,
     strategy_certainty,
@@ -32,6 +39,8 @@ from beliefcheck.games import (
     survival_event,
     survives,
 )
+from beliefcheck.informativeness import compatible_with_informativeness
+from beliefcheck.signals import certain_of
 
 
 def all_kripke_operators(space):
@@ -524,3 +533,97 @@ class TestIntegerKernel:
             preference_event(gm, "r", "C", "D", "!!")
         with pytest.raises(KeyError, match="unknown player"):
             rationality_event(gm, "z")
+
+
+def reference_chains(gm, player):
+    """Per chain, the premise verdicts and the conclusion with its witness,
+    from the object API: certainty of the strategy signal, the axiom and
+    compatibility reports, and containment of events around the
+    brute-force rationality event."""
+    op = gm.belief.operator(player)
+    certain = certain_of(gm.belief, player, strategy_signal(gm, player)).holds
+    compatible = compatible_with_informativeness(op).holds
+    holds = {axiom: op.check_axiom(axiom).holds for axiom in Axiom}
+    rat = Event(gm.space, brute_rationality(gm, player))
+    believed = op.apply(rat)
+
+    def conclusion(bad):
+        return not bad, (rat, bad.states()[0]) if bad else None
+
+    return {
+        CORRECT_BELIEF: (
+            (certain, compatible, holds[Axiom.FINITE_CONJUNCTION]),
+            conclusion(believed - rat),
+        ),
+        INTROSPECTIVE_CORRECT_BELIEF: (
+            (
+                holds[Axiom.CONSISTENCY],
+                holds[Axiom.POSITIVE_INTROSPECTION],
+                holds[Axiom.KRIPKE],
+                certain,
+            ),
+            conclusion(believed - rat),
+        ),
+        SELF_EVIDENT_RATIONALITY: (
+            (holds[Axiom.NEGATIVE_INTROSPECTION], holds[Axiom.KRIPKE], certain),
+            conclusion(rat - believed),
+        ),
+    }
+
+
+CHAIN_REPORTS = {
+    CORRECT_BELIEF: correct_belief_chain,
+    INTROSPECTIVE_CORRECT_BELIEF: introspective_correct_belief_chain,
+    SELF_EVIDENT_RATIONALITY: self_evident_rationality_chain,
+}
+
+
+def assert_chains_match(gm):
+    """The table procedures against the object API, for every player:
+    rationality bits, each chain's report and each chain's status."""
+    statuses = []
+    for player in gm.game.players:
+        view = player_tables(gm, player)
+        assert rationality_bits(view) == brute_rationality(gm, player)
+        for chain, (premises, (holds, witness)) in reference_chains(gm, player).items():
+            report = CHAIN_REPORTS[chain](gm, player)
+            assert tuple(held for _, held in report.premises) == premises
+            assert (report.conclusion[1], report.witness) == (holds, witness)
+            assert decide_chain(chain, view) is report.status
+            statuses.append(report.status)
+    return statuses
+
+
+class TestTableChains:
+    def test_every_two_state_monotone_operator(self, monotone_operators2):
+        # each operator plays first against three others, in four pattern
+        # games, with every strategy row for each player
+        ops = monotone_operators2
+        rows = ["aa", "ab", "ba", "bb"]
+        statuses = []
+        for op, other, g in itertools.product(ops, (ops[0], ops[17], ops[-1]), (0, 31, 40, 76)):
+            belief = BeliefModel(op.space, {"p1": op, "p2": other})
+            for k, row in enumerate(rows):
+                strategies = (tuple(row), tuple(rows[k - 1]))
+                statuses += assert_chains_match(GameModel(belief, _pattern_game(g), strategies))
+        assert set(statuses) == {ImplicationStatus.VACUOUS, ImplicationStatus.CONFIRMED}
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ModelSource(
+                mode="sampled-monotone", n_states=4, n_players=2, n_actions=3,
+                seed=11, count=150,
+            ),
+            ModelSource(
+                mode="sampled-monotone", n_states=3, n_players=3, n_actions=2,
+                seed=5, count=150,
+            ),
+        ],
+    )
+    def test_sampled_games(self, source):
+        rng = random.Random(source.seed)
+        statuses = []
+        for _ in range(source.count):
+            statuses += assert_chains_match(_sampled_game(rng, source))
+        assert ImplicationStatus.CONFIRMED in statuses

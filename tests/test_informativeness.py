@@ -14,6 +14,7 @@ from beliefcheck.informativeness import (
     InformativenessRelation,
     check_certainty_compatibility,
     compatible_with_informativeness,
+    uncorroborated_bits,
     upward_set,
 )
 from beliefcheck.qualitative import type_mapping_of
@@ -142,3 +143,30 @@ class TestCertaintyImplication:
                 model = BeliefModel(space, {"1": op})
                 report = check_certainty_compatibility(model, "1")
                 assert report.status is not ImplicationStatus.VIOLATED
+
+
+def reference_compatibility(op):
+    """The first uncorroborated belief, in event order then state order,
+    decided on the type mapping's dominance order."""
+    mapping = type_mapping_of(op)
+    for event in op.space.events():
+        for state in op.space.states:
+            if op.believes(state, event) and not upward_set(mapping, state) & event:
+                return event, state
+    return None
+
+
+class TestTableCompatibility:
+    def test_verdict_and_witness_match_the_type_mapping(self, space3, monotone_operators2):
+        # every two-state monotone operator and every three-state Kripke one
+        verdicts = []
+        for op in [*monotone_operators2, *all_kripke_operators(space3)]:
+            witness = reference_compatibility(op)
+            report = compatible_with_informativeness(op)
+            assert (report.holds, report.witness) == (witness is None, witness)
+            masks = list(uncorroborated_bits(op.table()))
+            assert len(masks) == op.space.size
+            assert any(masks) == (witness is not None)
+            verdicts.append(report.holds)
+        assert len(verdicts) == 36 + 512
+        assert 0 < sum(verdicts) < len(verdicts)
