@@ -16,12 +16,13 @@ Kripke streams decide the fact of each of the (2^n)^n operators once,
 and the sampled streams decide it once per distinct drawn table. The
 exhaustive pair sweep keys each pair by an observer and a subject class,
 or by the union of the two correspondences, and tallies one pair per
-key pair, by count. In the exhaustive game stream each
-run of 81 consecutive instances shares one belief model and one
-strategy profile, and a claim decides a whole block at once from each
-player's own game pattern. Generated pair instances have exactly two
-players, so pair claims refuse a generated source with any other
-player count, and a model file with fewer than two players.
+key pair, by count. In the exhaustive game stream each run of 81
+consecutive instances shares one belief model and one strategy
+profile; a claim keys each instance by the outcome its players' own
+game patterns give, and tallies one instance per key. Generated pair
+instances have exactly two players, so pair claims refuse a generated
+source with any other player count, and a model file with fewer than
+two players.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -739,6 +741,36 @@ class _Lazy(dict):
         return value
 
 
+def _tally_by_key(acc: _Acc, counts: dict, first: Callable, tally_at: Callable, walk) -> None:
+    """Record instances by an outcome key that fixes their tally: counts[key]
+    have the key, first(key) is the first, and tally_at(instance, acc)
+    tallies one. One per key is tallied listing-free and added count
+    times. Only if some key violates or finds a witness, and acc has room
+    to list it, are the (instance, key) pairs of `walk`, in stream order,
+    of such keys tallied one by one until the listings are full, so that
+    they match the per-instance check."""
+    bad, found = set(), [0, 0]
+    for key, count in counts.items():
+        one = _Acc(acc.order, 0)
+        tally_at(first(key), one)
+        acc.merge(one, count)
+        if one.violations_total or one.counterexamples_total:
+            bad.add(key)
+            found[0] += count * one.violations_total
+            found[1] += count * one.counterexamples_total
+    rooms = (acc.cap - len(acc.violations), acc.cap - len(acc.counterexamples))
+    want = [min(room, total) for room, total in zip(rooms, found)]
+    if not any(want):
+        return
+    listed = _Acc(acc.order, acc.cap)
+    for instance, key in walk:
+        if key in bad:
+            tally_at(instance, listed)
+            if len(listed.violations) >= want[0] and len(listed.counterexamples) >= want[1]:
+                break
+    acc.merge(listed, 0)  # its listings; its counts are in already
+
+
 # The class keys of an exhaustive pair sweep. Each builder takes the
 # operator facts, the state count and the sweep's memo, and returns
 # row_keys(a, cols): the keys of the observer and of the subject in
@@ -861,28 +893,13 @@ def _table_claim(
                 if len(counts) > len(first):
                     for b, key in zip(cols, keys):
                         first.setdefault(key, (a, b))
-            bad, found = set(), [0, 0]
-            for key, count in counts.items():
-                a, b = first[key]
-                one = _Acc(directions, 0)
-                tally(space, None, (facts[a], facts[b]), one, memo)
-                acc.merge(one, count)
-                if one.violations_total or one.counterexamples_total:
-                    bad.add(key)
-                    found[0] += count * one.violations_total
-                    found[1] += count * one.counterexamples_total
-            want = [min(acc.cap, total) for total in found]
-            if not any(want):
-                return
-            listed = _Acc(directions, acc.cap)
-            for a, cols in rows:
-                for b, key in zip(cols, zip(*row_keys(a, cols))):
-                    if key in bad:
-                        model = partial(_kripke_model, n, players, a * corr_count + b)
-                        tally(space, model, (facts[a], facts[b]), listed, memo)
-                if [len(listed.violations), len(listed.counterexamples)] == want:
-                    break
-            acc.merge(listed, 0)  # its listings; its counts are in already
+
+            def tally_at(pair, into):
+                model = partial(_kripke_model, n, players, pair[0] * corr_count + pair[1])
+                tally(space, model, (facts[pair[0]], facts[pair[1]]), into, memo)
+
+            walk = (((a, b), k) for a, cols in rows for b, k in zip(cols, zip(*row_keys(a, cols))))
+            _tally_by_key(acc, counts, first.__getitem__, tally_at, walk)
             return
         pool, kripke = {}, {}
 
@@ -1260,15 +1277,13 @@ def _shared_key(mutual, fact, memo: dict):
 # Game claims. Each is a per-player fact, which reads only that
 # player's side of the game as integers (PlayerTables: the own belief
 # table, rank row, stride, opponent bases and played action indices),
-# and a tally, tally(n, codes, common, game, model, facts, acc, memo),
-# which records one instance on n states from every player's fact.
-# codes are the players' action indices at every state, common(rat)
-# gives the common-belief bits of an event, game() gives the Game and
-# model(game) the game model, called only to render a listing or, for
-# the game, when a premise is live; `memo` holds what depends only on
-# the belief model. A tally records an instance without a violation by
-# count, and builds its listing and walks its states only when
-# something is violated.
+# a tally, tally(n, common, survived, facts, acc, text), which records
+# one instance on n states from every player's fact, and the outcome
+# keys of its exhaustive sweep. common(rat) gives the common-belief bits
+# of an event, survived() the states whose played profile survives
+# IESDA, and text() the listing, each called only when read. A tally
+# records an instance without a violation by count, and walks its
+# states only when something is violated.
 
 
 def _chain_fact(chain) -> Callable:
@@ -1281,13 +1296,12 @@ def _game_text(game: Callable, model: Callable) -> Callable[[], str]:
     return lambda: serialize_model(game_model=model(game()))
 
 
-def _chain_tally(n, codes, common, game, model, facts, acc: _Acc, memo: dict) -> None:
+def _chain_tally(n, common, survived, facts, acc: _Acc, text) -> None:
     acc.add_instance()
     if ImplicationStatus.VIOLATED not in facts:
         confirmed = facts.count(ImplicationStatus.CONFIRMED)
         acc.count("implication", len(facts) - confirmed, confirmed)
         return
-    text = _game_text(game, model)
     for status in facts:
         acc.record("implication", status, text)
 
@@ -1299,28 +1313,48 @@ def _rationality_fact(view: PlayerTables) -> tuple[bool, int]:
     return not view.believe(rat) & ~rat, rat
 
 
-def _survival_tally(n, codes, common, game, model, facts, acc: _Acc, memo: dict) -> None:
+def _survival_tally(n, common, survived, facts, acc: _Acc, text) -> None:
     # status-equivalent to epistemic_iesda_verdict at every state
     acc.add_instance()
     premise = (1 << n) - 1
     for correct, rat in facts:
-        if correct and rat not in memo:
-            memo[rat] = common(rat)
-        premise &= memo[rat] if correct else 0
+        premise &= common(rat) if correct else 0
     # without a live premise every state is vacuous, whatever survives
-    survived = 0
-    if premise:
-        played = game()
-        survived = survival_bits(played, codes, maximal_trace(played))
-    if not premise & ~survived:
+    survivors = survived() if premise else 0
+    if not premise & ~survivors:
         live = premise.bit_count()
         acc.count("implication", n - live, live)
         return
-    text = _game_text(game, model)
     for k in range(n):
         acc.implication(
-            "implication", bool(premise >> k & 1), bool(survived >> k & 1), text
+            "implication", bool(premise >> k & 1), bool(survivors >> k & 1), text
         )
+
+
+def _survival_of(game: Game, codes) -> int:
+    """The states whose played profile, at indices `codes`, survives IESDA."""
+    return survival_bits(game, codes, maximal_trace(game))
+
+
+# The outcome keys of an exhaustive game block: keys(first, second,
+# games, common, survived) takes each player's nine own-pattern facts,
+# and returns one key per pattern game g (own patterns g // 9 and g % 9)
+# holding all that the tally reads of it, so equal keys tally alike.
+
+
+def _status_keys(first, second, games, common, survived) -> list:
+    """A chain tally reads the two players' chain statuses alone."""
+    # the second pattern varies fastest, as in g = 9 * k1 + k2
+    return list(itertools.islice(itertools.product(first, second), games.start, games.stop))
+
+
+def _survival_keys(first, second, games, common, survived) -> list:
+    """The survival tally reads its premise, the states where both players
+    correctly and commonly believe own rationality (each player's part
+    set by own pattern), and only where the premise is live, survived[g]."""
+    own = [[common(rat) if correct else 0 for correct, rat in facts] for facts in (first, second)]
+    premises = [a & b for a in own[0] for b in own[1]][games.start : games.stop]
+    return [premise and (premise, survived[g]) for g, premise in zip(games, premises)]
 
 
 def _common_bits(belief: BeliefModel, rat: int) -> int:
@@ -1340,7 +1374,7 @@ def _player_tables(space: StateSpace, tables, ranks, sizes, codes) -> list[Playe
     ]
 
 
-def _game_claim(fact: Callable, tally: Callable) -> dict:
+def _game_claim(fact: Callable, tally: Callable, keys: Callable) -> dict:
     """The arena, the direction both game tallies record, the source
     modes, the per-instance check and the sweep of one game claim, as
     ClaimSpec keyword arguments.
@@ -1351,22 +1385,30 @@ def _game_claim(fact: Callable, tally: Callable) -> dict:
     exhaustive sweep decides the nine facts of a player, own operator
     table and strategy rows once, one per own pattern k on the diagonal
     game 10 * k, whose two players both have pattern k: 2 * 16 * 16 * 9 =
-    4,608 facts on two states. The fact memo lives for one sweep call,
-    so a rebound callee is seen by the next call; the tally's memo lives
-    for one block, whose 81 instances share the belief model.
+    4,608 facts on two states. Each block, whole or clipped at a chunk
+    edge, counts its instances by outcome `keys` and tallies one per key
+    (_tally_by_key): one per block for a chain claim, a few for
+    epistemic-iesda; only instances of violating keys are tallied one by
+    one, for the listings. Common belief is decided once per belief model
+    and event, and survival bits once per pattern game and strategy codes
+    where a premise is live (at most 1,296 times). These memos and the
+    fact memo live for one sweep call, so a rebound callee is seen by the
+    next call.
 
     The sampled sweep replays the draws as specs and turns each operator
     spec into its table; a draw before lo only advances the stream. A
-    drawn game rarely repeats, so nothing is interned: each player's fact
-    is decided on the drawn tables, and common belief on their
-    intersection. The Game is built only for the elimination trace of an
-    instance with a live premise, and the game model only for a
+    drawn game rarely repeats, so nothing is interned and each instance
+    is tallied on its own, as `check` (the reference) tallies one: each
+    player's fact is decided on the drawn tables, and common belief on
+    their intersection. The Game is built only for the elimination trace
+    of an instance with a live premise, and the game model only for a
     listing."""
 
     def check(gm: GameModel, acc: _Acc) -> None:
         facts = [fact(player_tables(gm, p)) for p in gm.game.players]
-        common = partial(_common_bits, gm.belief)
-        tally(gm.space.n, gm._codes, common, lambda: gm.game, lambda _: gm, facts, acc, {})
+        survived = partial(_survival_of, gm.game, gm._codes)
+        text = partial(serialize_model, game_model=gm)
+        tally(gm.space.n, partial(_common_bits, gm.belief), survived, facts, acc, text)
 
     def sweep(source: ModelSource, lo: int, hi: int, acc: _Acc) -> None:
         n = source.n_states
@@ -1386,24 +1428,18 @@ def _game_claim(fact: Callable, tally: Callable) -> dict:
                     for spec in specs
                 ]
                 facts = [fact(view) for view in _player_tables(space, tables, ranks, sizes, codes)]
-                tally(
-                    n,
-                    codes,
-                    lambda rat: common_belief_bits(intersect_tables(tables), rat, full),
-                    partial(_drawn_game, source, ranks),
-                    partial(_drawn_game_model, source, specs, codes=codes),
-                    facts,
-                    acc,
-                    {},
-                )
+                game = partial(_drawn_game, source, ranks)
+                common = lambda rat: common_belief_bits(intersect_tables(tables), rat, full)
+                text = _game_text(game, partial(_drawn_game_model, source, specs, codes=codes))
+                tally(n, common, lambda: _survival_of(game(), codes), facts, acc, text)
             return
         first = _pattern_game(0)
         sizes = tuple(map(len, first.actions))
-        patterns = [partial(_pattern_game, g) for g in range(81)]
         memo = {}
+        # per strategy codes, the survival bits of each pattern game
+        survival = _Lazy(lambda codes: _Lazy(lambda g: _survival_of(_pattern_game(g), codes)))
 
-        def own_facts(belief: BeliefModel, codes, idx: int) -> list:
-            tables = [op.table() for op in belief.operators.values()]
+        def own_facts(tables, codes, idx: int) -> list:
             key = (idx, tables[idx], codes)
             if key not in memo:
                 view = _player_tables(space, tables, first.ranks, sizes, codes)[idx]
@@ -1412,15 +1448,24 @@ def _game_claim(fact: Callable, tally: Callable) -> dict:
                 ]
             return memo[key]
 
+        last = None
         for belief, rows, games in _game_blocks(source, lo, hi):
+            if belief is not last:  # consecutive blocks share the belief model
+                last, tables = belief, [op.table() for op in belief.operators.values()]
+                common = _Lazy(partial(_common_bits, belief)).__getitem__
             codes = tuple(tuple(map(acts.index, row)) for acts, row in zip(first.actions, rows))
-            first_facts, second_facts = own_facts(belief, codes, 0), own_facts(belief, codes, 1)
-            common = partial(_common_bits, belief)
+            first_facts, second_facts = own_facts(tables, codes, 0), own_facts(tables, codes, 1)
+            survived = survival[codes]
             model = partial(GameModel, belief, strategies=rows)
-            block = {}
-            for g in games:
+
+            def tally_at(g, into):
                 facts = (first_facts[g // 9], second_facts[g % 9])
-                tally(n, codes, common, patterns[g], model, facts, acc, block)
+                text = _game_text(partial(_pattern_game, g), model)
+                tally(n, common, partial(survived.__getitem__, g), facts, into, text)
+
+            block = keys(first_facts, second_facts, games, common, survived)
+            first_of = lambda key: games[block.index(key)]
+            _tally_by_key(acc, Counter(block), first_of, tally_at, zip(games, block))
 
     return {
         "arena": "game",
@@ -1618,14 +1663,14 @@ _CLAIMS = (
         "strategy and type certainty with compatibility and Finite "
         "Conjunction make every player correctly believe own "
         "rationality",
-        **_game_claim(_chain_fact(CORRECT_BELIEF), _chain_tally),
+        **_game_claim(_chain_fact(CORRECT_BELIEF), _chain_tally, _status_keys),
     ),
     ClaimSpec(
         "consistent-introspective-kripke-players-believe-own-rationality",
         ("thm2-kripke-pi",),
         "consistent, positively introspective Kripke players who are "
         "certain of their strategies correctly believe own rationality",
-        **_game_claim(_chain_fact(INTROSPECTIVE_CORRECT_BELIEF), _chain_tally),
+        **_game_claim(_chain_fact(INTROSPECTIVE_CORRECT_BELIEF), _chain_tally, _status_keys),
     ),
     ClaimSpec(
         "negatively-introspective-kripke-rationality-is-self-evident",
@@ -1633,7 +1678,7 @@ _CLAIMS = (
         "for negatively introspective Kripke players certain of their "
         "strategies, own rationality is self-evident: the event implies "
         "belief in it",
-        **_game_claim(_chain_fact(SELF_EVIDENT_RATIONALITY), _chain_tally),
+        **_game_claim(_chain_fact(SELF_EVIDENT_RATIONALITY), _chain_tally, _status_keys),
     ),
     ClaimSpec(
         "common-rationality-belief-implies-iesda-survival",
@@ -1641,7 +1686,7 @@ _CLAIMS = (
         "common belief in everyone's rationality with correct "
         "own-rationality beliefs keeps the played profile among the "
         "iterated-dominance survivors",
-        **_game_claim(_rationality_fact, _survival_tally),
+        **_game_claim(_rationality_fact, _survival_tally, _survival_keys),
     ),
     ClaimSpec(
         "truth-implies-consistency",

@@ -62,6 +62,7 @@ from beliefcheck.games import (
     epistemic_iesda_verdict,
     player_tables,
     rationality_bits,
+    survival_bits,
 )
 import random
 
@@ -598,6 +599,74 @@ class TestGameBlocks:
         acc = _run_range(canonical, self.SRC, 81 * 2037, 81 * 2051, 5)
         assert acc.tallies["implication"][_STATUS_INDEX["confirmed"]] > 0
         assert 0 < len(calls) <= 14 * 4
+
+    def test_blocks_tally_one_instance_per_outcome_key(self, monkeypatch):
+        # blocks 2037 to 2050 are live and violation-free for every game
+        # claim; each block adds one tallied instance per key, `times`
+        # times, so the added counts cover every instance once
+        merged = []
+        merge = _Acc.merge
+        monkeypatch.setattr(
+            _Acc,
+            "merge",
+            lambda self, other, times=1: merged.append(times) or merge(self, other, times),
+        )
+        lo, hi = 81 * 2037, 81 * 2051
+        for claim in GAME_CLAIMS:
+            merged.clear()
+            acc = _run_range(resolve_claim(claim).canonical, self.SRC, lo, hi, 5)
+            assert acc.violations_total == 0 and sum(merged) == acc.instances == hi - lo
+            if claim != "epistemic-iesda":
+                # a chain tally reads both players' statuses, one pair per block
+                assert len(merged) == 14
+        # the survival tally reads the premise and, where it is live, which
+        # states' played profiles survive: one key per distinct pair
+        keys = {}
+        for index, gm in enumerate(_instances("game", self.SRC, lo, hi), lo):
+            premise = survived = 0
+            for k, state in enumerate(gm.space.states):
+                verdict = epistemic_iesda_verdict(gm, state)
+                premise |= all(holds for _, holds in verdict.implication.premises) << k
+                survived |= verdict.survives << k
+            keys.setdefault(index // 81, set()).add((premise, premise and survived))
+        assert len(merged) == sum(map(len, keys.values())) < 81 * 14 // 20
+
+    def test_survival_bits_are_decided_once_per_game_and_codes(self, monkeypatch):
+        # only where a premise is live, at most once per pattern game and
+        # strategy codes in one sweep call, and afresh in the next call
+        calls = []
+
+        def counting(game, codes, trace):
+            calls.append((game, codes))
+            return survival_bits(game, codes, trace)
+
+        monkeypatch.setattr("beliefcheck.audit.survival_bits", counting)
+        for _ in range(2):
+            calls.clear()
+            assert audit("epistemic-iesda", self.SRC).instances == 331_776
+            assert 0 < len(calls) == len(set(calls)) <= 81 * 16
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("cap", [0, 3])
+    @pytest.mark.parametrize("claim", GAME_CLAIMS)
+    def test_chunks_split_inside_a_block_merge_to_the_whole(
+        self, monkeypatch, claim, cap, forced
+    ):
+        # a worker chunk may start and end inside a block of 81; block
+        # 2040 is cut after its first, 40th and 80th instance
+        if forced:
+            monkeypatch.setattr("beliefcheck.audit.decide_chain", _forced_chain)
+            monkeypatch.setattr("beliefcheck.audit.maximal_trace", _forced_trace)
+        canonical = resolve_claim(claim).canonical
+        lo, hi = GAME_SLICES[3]
+        cuts = (lo, 81 * 2040 + 1, 81 * 2040 + 40, 81 * 2040 + 80, hi)
+        parts = [_run_range(canonical, self.SRC, a, b, cap) for a, b in zip(cuts, cuts[1:])]
+        merged = parts[0]
+        for part in parts[1:]:
+            merged.merge(part)
+        whole = _accumulated(_run_range(canonical, self.SRC, lo, hi, cap))
+        assert _accumulated(merged) == whole == _per_instance(claim, self.SRC, lo, hi, cap)
+        assert all(part.violations_total for part in parts) == forced
 
 
 PAIR_CLAIMS = tuple(
