@@ -4,6 +4,11 @@ A one-pattern lexer and a recursive-descent parser with line/column
 diagnostics, a normalized document form, and a canonical serializer.
 Parsing a serialized document gives the document back; serializing a
 parsed document is idempotent after one round trip.
+
+The document holds what the model holds: a player's block as state
+masks (bit k stands for the k-th declared state) and a game's ranks as
+one row per player in profile order. State names become masks in the
+parser and masks become names again only in the serializer.
 """
 
 from __future__ import annotations
@@ -95,12 +100,17 @@ def _lex(text: str) -> list[Token]:
 
 @dataclass(frozen=True)
 class PlayerSpec:
-    """One player's operator block, entries normalized and sorted."""
+    """One player's operator block over the document's state order.
+
+    A kripke block holds each state's possible set as a state mask, in
+    state order. A table or core block holds (event mask, image mask)
+    pairs sorted by event mask; a table block has one for every event.
+    """
 
     name: str
     kind: str
-    kripke: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    entries: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
+    kripke: tuple[int, ...] = ()
+    entries: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -113,8 +123,12 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class GameSpec:
+    """Each player's actions and strategy, players in declaration order,
+    and one rank row per player in profile enumeration order: the rows
+    of ``Game.ranks``."""
+
     actions: tuple[tuple[str, tuple[str, ...]], ...]
-    ranks: tuple[tuple[str, tuple[str, ...], int], ...]
+    ranks: tuple[tuple[int, ...], ...]
     strategies: tuple[tuple[str, tuple[str, ...]], ...]
 
 
@@ -157,29 +171,21 @@ class ModelSpecDocument:
         if self.game is None:
             raise ValueError("document declares no game")
         belief = self.belief_model()
-        actions = {p: list(acts) for p, acts in self.game.actions}
-        profiles: dict[str, dict[tuple, int]] = {p: {} for p in actions}
-        for player, profile, value in self.game.ranks:
-            profiles[player][profile] = value
-        game = Game.of(actions, profiles)
-        strategies = {p: dict(zip(self.states, row)) for p, row in self.game.strategies}
-        return GameModel.of(belief, game, strategies)
+        players = tuple(p for p, _ in self.game.actions)
+        actions = tuple(acts for _, acts in self.game.actions)
+        game = Game(players, actions, self.game.ranks)
+        return GameModel(belief, game, tuple(row for _, row in self.game.strategies))
 
 
 def _operator_from_spec(space: StateSpace, spec: PlayerSpec) -> BeliefOperator:
     if spec.kind == "kripke":
-        possible = tuple(
-            space.event(states).bits for _, states in spec.kripke
-        )
         return BeliefOperator.from_correspondence(
-            PossibilityCorrespondence(space, possible), owner=spec.name
+            PossibilityCorrespondence(space, spec.kripke), owner=spec.name
         )
-    images = {
-        space.event(key): space.event(value) for key, value in spec.entries
-    }
     if spec.kind == "table":
+        images = [image for _, image in spec.entries]
         return BeliefOperator.from_table(space, images, owner=spec.name)
-    return BeliefOperator.monotone_closure(space, images, owner=spec.name)
+    return BeliefOperator.monotone_closure(space, dict(spec.entries), owner=spec.name)
 
 
 class _Parser:
@@ -243,9 +249,10 @@ class _Parser:
         what: str = "state",
         unknown: str = "unknown state",
         duplicate: str = "duplicate state in set",
-    ) -> tuple[tuple[str, ...], Token]:
-        """A braced, comma-separated set of distinct names from `universe`,
-        in universe order, and the token of its opening brace."""
+    ) -> tuple[int, Token]:
+        """A braced, comma-separated set of distinct names from `universe`
+        as a mask, bit k standing for universe[k], and the token of its
+        opening brace."""
         open_tok = self.expect("LBRACE", f"'{{' opening a {what} set")
         items = []
         while self.peek().kind != "RBRACE":
@@ -255,12 +262,14 @@ class _Parser:
             elif self.peek().kind != "RBRACE":
                 self.error(f"expected ',' or '}}' in {what} set")
         self.next()
+        mask = 0
         for item in items:
             if item not in universe:
                 self.error(f"{unknown}: {item}", open_tok, kind="semantic")
-        if len(set(items)) != len(items):
+            mask |= 1 << universe.index(item)
+        if mask.bit_count() != len(items):
             self.error(duplicate, open_tok, kind="semantic")
-        return tuple(sorted(items, key=universe.index)), open_tok
+        return mask, open_tok
 
     def state_block(
         self,
@@ -319,8 +328,9 @@ class _Parser:
                     self.error("duplicate 'game' block", tok, kind="semantic")
                 game_tok = tok
                 game = self.parse_game(states)
-        if game is not None:
-            self._check_game_players(game, players, game_tok)
+        declared = {p.name for p in players}
+        if game is not None and declared and declared != {p for p, _ in game.actions}:
+            self.error("game players differ from declared players", game_tok, kind="semantic")
         return ModelSpecDocument(
             states=tuple(states),
             players=tuple(players),
@@ -348,9 +358,7 @@ class _Parser:
                 "kripke block is missing state",
                 kind_tok,
             )
-            spec = PlayerSpec(
-                name=name_tok.value, kind="kripke", kripke=tuple(zip(states, possible))
-            )
+            spec = PlayerSpec(name=name_tok.value, kind="kripke", kripke=possible)
         else:
             spec = self.parse_table_entries(name_tok.value, kind_tok.value, states)
         self.expect("RBRACE", "'}' closing the player block")
@@ -359,11 +367,11 @@ class _Parser:
     def parse_table_entries(
         self, player: str, kind: str, states: list[str]
     ) -> PlayerSpec:
-        entries: dict[tuple[str, ...], tuple[str, ...]] = {}
+        entries: dict[int, int] = {}
         while self.peek().kind != "RBRACE":
             key, key_tok = self.set_literal(states)
             if key in entries:
-                shown = "{" + ", ".join(key) + "}"
+                shown = _set_text(_names(key, states))
                 self.error(f"duplicate entry for {shown}", key_tok, kind="semantic")
             self.expect("COLON", "':' after the event")
             entries[key] = self.set_literal(states)[0]
@@ -376,11 +384,8 @@ class _Parser:
                 close_tok,
                 kind="semantic",
             )
-        # canonical order: by the event's bitmask over the state index
-        bit = {s: 1 << i for i, s in enumerate(states)}
-        order = sorted(entries, key=lambda k: sum(map(bit.__getitem__, k)))
-        ordered = tuple((key, entries[key]) for key in order)
-        return PlayerSpec(name=player, kind=kind, entries=ordered)
+        # canonical order: by event mask
+        return PlayerSpec(name=player, kind=kind, entries=tuple(sorted(entries.items())))
 
     def parse_signal(
         self, states: list[str], seen: list[SignalSpec]
@@ -506,7 +511,7 @@ class _Parser:
         players = tuple(actions)
         profiles = list(itertools.product(*(actions[p] for p in players)))
         profile_index = {pr: k for k, pr in enumerate(profiles)}
-        normalized: dict[tuple[str, tuple[str, ...]], int] = {}
+        rows: dict[str, list[int | None]] = {p: [None] * len(profiles) for p in players}
         for player, profile, value, tok in ranks:
             if player not in actions:
                 self.error(f"unknown player: {player}", tok, kind="semantic")
@@ -515,14 +520,15 @@ class _Parser:
                 self.error(
                     f"unknown action profile {shown}", tok, kind="semantic"
                 )
-            if (player, profile) in normalized:
+            row, k = rows[player], profile_index[profile]
+            if row[k] is not None:
                 self.error(
                     f"duplicate rank for player {player}", tok, kind="semantic"
                 )
-            normalized[(player, profile)] = value
+            row[k] = value
         for player in players:
-            for profile in profiles:
-                if (player, profile) not in normalized:
+            for profile, value in zip(profiles, rows[player]):
+                if value is None:
                     shown = "(" + ", ".join(profile) + ")"
                     self.error(
                         f"no rank for player {player} at {shown}",
@@ -544,31 +550,11 @@ class _Parser:
                 self.error(
                     f"no strategy for player {player}", open_tok, kind="semantic"
                 )
-        ordered_ranks = tuple(
-            (player, profile, normalized[(player, profile)])
-            for player in players
-            for profile in profiles
-        )
         return GameSpec(
             actions=tuple((p, actions[p]) for p in players),
-            ranks=ordered_ranks,
+            ranks=tuple(tuple(rows[p]) for p in players),
             strategies=tuple((p, strategies[p]) for p in players),
         )
-
-    def _check_game_players(
-        self,
-        game: GameSpec,
-        players: list[PlayerSpec],
-        game_tok: Token | None,
-    ) -> None:
-        declared = {p.name for p in players}
-        in_game = {p for p, _ in game.actions}
-        if declared and declared != in_game:
-            self.error(
-                "game players differ from declared players",
-                game_tok,
-                kind="semantic",
-            )
 
 
 def read_model_file(path: str) -> str:
@@ -590,10 +576,10 @@ def parse_event_literal(space: StateSpace, text: str) -> Event:
     """An event in the model-file set syntax, for command-line flags,
     e.g. '{ω1, ω2}'."""
     parser = _Parser(text)
-    items, _ = parser.set_literal(space.states)
+    bits, _ = parser.set_literal(space.states)
     if parser.peek().kind != "EOF":
         parser.error("unexpected input after the closing '}'")
-    return space.event(items)
+    return Event(space, bits)
 
 
 def document_of(
@@ -614,33 +600,18 @@ def document_of(
     for name in model.players:
         op = model.operator(name)
         if op.has_correspondence():
-            possible = op.derive_correspondence()
-            players.append(
-                PlayerSpec(
-                    name=name,
-                    kind="kripke",
-                    kripke=tuple(
-                        (s, tuple(possible.at(s).states())) for s in states
-                    ),
-                )
-            )
+            spec = PlayerSpec(name, "kripke", kripke=op.derive_correspondence().possible)
         else:
-            table = op.table()
-            entries = tuple(
-                (
-                    tuple(model.space.event_from_bits(e).states()),
-                    tuple(model.space.event_from_bits(img).states()),
-                )
-                for e, img in enumerate(table)
-            )
-            players.append(PlayerSpec(name=name, kind="table", entries=entries))
+            spec = PlayerSpec(name, "table", entries=tuple(enumerate(op.table())))
+        players.append(spec)
     signal_specs = []
     for sig in signals:
         if sig.space != model.space:
             raise ValueError("signal on a different state space")
         codomain = tuple(str(v) for v in sig.codomain)
         by_value = {v: str(v) for v in sig.codomain}
-        members = ([by_value[v] for v in member] for member in sig.family)
+        bit = {v: 1 << k for k, v in enumerate(sig.codomain)}
+        members = (sum(bit[v] for v in member) for member in sig.family)
         signal_specs.append(
             SignalSpec(
                 name=sig.name or "x",
@@ -654,14 +625,9 @@ def document_of(
     game_spec = None
     if game_model is not None:
         game = game_model.game
-        profiles = list(game.profiles())
         game_spec = GameSpec(
             actions=tuple(zip(game.players, game.actions)),
-            ranks=tuple(
-                (player, profile, game.rank(player, profile))
-                for player in game.players
-                for profile in profiles
-            ),
+            ranks=game.ranks,
             strategies=tuple(zip(game.players, game_model.strategies)),
         )
     return ModelSpecDocument(
@@ -673,12 +639,20 @@ def document_of(
 
 
 def _family_order(
-    members: Iterable[Iterable[str]], codomain: Sequence[str]
+    members: Iterable[int], codomain: Sequence[str]
 ) -> tuple[tuple[str, ...], ...]:
-    """Canonical family: each member in codomain order, duplicates
-    dropped, members sorted by their codomain positions."""
-    positions = {tuple(sorted(codomain.index(v) for v in m)) for m in members}
-    return tuple(tuple(codomain[k] for k in p) for p in sorted(positions))
+    """Canonical family from member masks over the codomain: each member
+    in codomain order, duplicates dropped, members sorted by their tuples
+    of codomain positions, so (0, 2) comes before (1,) though its mask
+    is larger."""
+    positions = range(len(codomain))
+    ordered = sorted(set(members), key=lambda m: _names(m, positions))
+    return tuple(_names(m, codomain) for m in ordered)
+
+
+def _names(mask: int, universe: Sequence) -> tuple:
+    """The members of `universe` whose bits are set in `mask`, in order."""
+    return tuple(name for k, name in enumerate(universe) if mask >> k & 1)
 
 
 def _set_text(items: Sequence[str]) -> str:
@@ -688,19 +662,20 @@ def _set_text(items: Sequence[str]) -> str:
 def serialize_model_spec(doc: ModelSpecDocument) -> str:
     """Canonical text: two-space indent, one entry per line, comma
     separated, blocks in document order."""
-    out = ["states " + " ".join(doc.states) + ";"]
+    states = doc.states
+    out = ["states " + " ".join(states) + ";"]
     for player in doc.players:
         out.append("")
         out.append(f"player {player.name} {{")
         out.append(f"  {player.kind} {{")
         if player.kind == "kripke":
             lines = [
-                f"    {state}: {_set_text(possible)}"
-                for state, possible in player.kripke
+                f"    {state}: {_set_text(_names(possible, states))}"
+                for state, possible in zip(states, player.kripke)
             ]
         else:
             lines = [
-                f"    {_set_text(key)}: {_set_text(value)}"
+                f"    {_set_text(_names(key, states))}: {_set_text(_names(value, states))}"
                 for key, value in player.entries
             ]
         out.extend(_with_commas(lines))
@@ -720,10 +695,10 @@ def serialize_model_spec(doc: ModelSpecDocument) -> str:
         out.append("game {")
         for player, acts in doc.game.actions:
             out.append(f"  actions {player}: " + " ".join(acts) + ";")
-        for player, profile, value in doc.game.ranks:
-            out.append(
-                f"  rank {player}: (" + ", ".join(profile) + f") = {value};"
-            )
+        profiles = list(itertools.product(*(acts for _, acts in doc.game.actions)))
+        for (player, _), row in zip(doc.game.actions, doc.game.ranks):
+            for profile, value in zip(profiles, row):
+                out.append(f"  rank {player}: (" + ", ".join(profile) + f") = {value};")
         for player, row in doc.game.strategies:
             out.append(f"  strategy {player} {{")
             out.extend(

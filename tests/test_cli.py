@@ -52,6 +52,20 @@ class TestAxioms:
         assert code == 2
         assert "cannot read" in err
 
+    def test_non_monotone_table_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "table.bm"
+        path.write_text(
+            "states a b; player i { table { {}: {a}, {a}: {}, {b}: {}, {a, b}: {a, b} } }",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "axioms", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: not monotone: {} is contained in {a} but B{} = {a} "
+            "is not contained in B{a} = {}\n"
+        )
+
 
 class TestCommonBelief:
     def test_empty_event_stays_empty(self, capsys):
@@ -152,6 +166,17 @@ class TestGame:
         code, _, err = run(capsys, "game", BLINDSPOT)
         assert code == 2
         assert "no game" in err
+
+    def test_game_without_declared_players(self, capsys, tmp_path):
+        path = tmp_path / "game.bm"
+        path.write_text(
+            "states a;\ngame { actions i: l; rank i: (l) = 0; strategy i { a -> l } }\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "game", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: document declares no players\n"
 
     def test_fc_violation_is_vacuous_not_violated(self, capsys):
         # Finite Conjunction fails, so the rationality-belief premise

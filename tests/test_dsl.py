@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from beliefcheck.core import BeliefModel, BeliefOperator, PossibilityCorrespondence
+from beliefcheck.core import (
+    BeliefModel,
+    BeliefOperator,
+    PossibilityCorrespondence,
+    StateSpace,
+)
 from beliefcheck.dsl import (
     ModelSpecDocument,
     ModelSpecError,
@@ -342,6 +347,96 @@ class TestBuilders:
             doc.belief_model()
 
 
+class TestIntegerDocument:
+    def test_kripke_block_holds_state_masks_in_state_order(self):
+        doc = parse_model_spec(
+            "states a b c;\nplayer i { kripke { c: {c, b}, a: {a, c}, b: {} } }"
+        )
+        assert doc.players[0].kripke == (0b101, 0b000, 0b110)
+
+    def test_table_block_holds_mask_pairs_sorted_by_event(self):
+        assert blindspot_doc().players[0].entries == (
+            (0b000, 0b000),
+            (0b001, 0b001),
+            (0b010, 0b010),
+            (0b011, 0b011),
+            (0b100, 0b000),
+            (0b101, 0b001),
+            (0b110, 0b010),
+            (0b111, 0b111),
+        )
+
+    def test_game_ranks_are_the_rows_of_game_ranks(self):
+        text = (
+            "states a b;\n"
+            "player r { kripke { a: {a}, b: {b} } }\n"
+            "player c { kripke { a: {a}, b: {b} } }\n"
+            "game {\n"
+            "  actions r: U D;\n"
+            "  actions c: L M R;\n"
+            "  rank c: (D, R) = 0; rank c: (D, M) = 1; rank c: (D, L) = 2;\n"
+            "  rank c: (U, R) = 3; rank c: (U, M) = 4; rank c: (U, L) = 5;\n"
+            "  rank r: (U, L) = 0; rank r: (U, M) = 1; rank r: (U, R) = 2;\n"
+            "  rank r: (D, L) = 3; rank r: (D, M) = 4; rank r: (D, R) = 5;\n"
+            "  strategy r { a -> U, b -> D }\n"
+            "  strategy c { a -> M, b -> R }\n"
+            "}\n"
+        )
+        doc = parse_model_spec(text)
+        assert doc.game.ranks == ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0))
+        assert doc.game.ranks == doc.game_model().game.ranks
+
+
+def _seeded_objects(kind: str, n: int, seed: int):
+    """Two players with seeded Kripke or monotone-closure operators on
+    `n` states, a three-valued signal and a 3x3 game over them."""
+    rng = random.Random(seed)
+    space = StateSpace([f"s{k}" for k in range(1, n + 1)])
+    masks = range(space.size)
+    ops = {}
+    for p in ("r", "c"):
+        if kind == "kripke":
+            possible = tuple(rng.choice(masks) for _ in range(n))
+            ops[p] = BeliefOperator.from_correspondence(
+                PossibilityCorrespondence(space, possible), owner=p
+            )
+        else:
+            core = {rng.choice(masks): rng.choice(masks) for _ in range(n + 1)}
+            ops[p] = BeliefOperator.monotone_closure(space, core, owner=p)
+    model = BeliefModel(space, ops)
+    values = ("lo", "mid", "hi")
+    signal = Signal(
+        space,
+        codomain=values,
+        assignment=tuple(rng.choice(values) for _ in range(n)),
+        family=(frozenset({"hi"}), frozenset({"lo", "mid"}), frozenset({"mid"})),
+        name="x",
+    )
+    acts = ("L", "M", "R")
+    ranks = tuple(tuple(rng.randrange(4) for _ in range(9)) for _ in ops)
+    game = Game(tuple(ops), (acts, acts), ranks)
+    strategies = tuple(tuple(rng.choice(acts) for _ in range(n)) for _ in ops)
+    return model, [signal], GameModel(model, game, strategies)
+
+
+def _assert_document_round_trip(model, signals=(), game_model=None):
+    """The document of the objects is the parse of their text, and it
+    rebuilds every operator with its table and its correspondence."""
+    doc = document_of(model, signals, game_model)
+    assert doc == parse_model_spec(serialize_model(model, signals, game_model))
+    rebuilt = doc.belief_model()
+    for p in model.players:
+        assert rebuilt.operator(p).table() == model.operator(p).table()
+        assert (
+            rebuilt.operator(p).has_correspondence()
+            == model.operator(p).has_correspondence()
+        )
+    return doc
+
+
+SEEDED = [(n, seed) for n in range(1, 5) for seed in range(3)]
+
+
 class TestRoundTrip:
     def test_parse_serialize_identity(self):
         doc = blindspot_doc()
@@ -374,20 +469,23 @@ class TestRoundTrip:
         # normalization sorts the family by codomain order
         assert doc.signals[0].family == (("x",), ("y",))
 
-    def test_document_of_model(self, space3, blindspot_model):
-        doc = document_of(blindspot_model)
+    @pytest.mark.parametrize("seeded", [None, *SEEDED])
+    def test_document_of_model(self, space3, blindspot_model, seeded):
+        # seeded monotone closures come with a signal and a 3x3 game
+        objects = (blindspot_model,) if seeded is None else _seeded_objects("closure", *seeded)
+        doc = _assert_document_round_trip(*objects)
         assert doc.players[0].kind == "table"
-        rebuilt = doc.belief_model()
-        for p in blindspot_model.players:
-            assert rebuilt.operator(p).table() == blindspot_model.operator(p).table()
 
-    def test_document_of_prefers_kripke_blocks(self, space3):
-        corr = PossibilityCorrespondence(space3, (0b001, 0b011, 0b111))
-        op = BeliefOperator.from_correspondence(corr, owner="i")
-        model = BeliefModel(space3, {"i": op})
-        doc = document_of(model)
+    @pytest.mark.parametrize("seeded", [None, *SEEDED])
+    def test_document_of_prefers_kripke_blocks(self, space3, seeded):
+        if seeded is None:
+            corr = PossibilityCorrespondence(space3, (0b001, 0b011, 0b111))
+            op = BeliefOperator.from_correspondence(corr, owner="i")
+            objects = (BeliefModel(space3, {"i": op}),)
+        else:
+            objects = _seeded_objects("kripke", *seeded)
+        doc = _assert_document_round_trip(*objects)
         assert doc.players[0].kind == "kripke"
-        assert parse_model_spec(serialize_model_spec(doc)) == doc
 
     def test_document_of_game_model(self, space2, pd_game):
         ops = {
