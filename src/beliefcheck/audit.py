@@ -219,12 +219,6 @@ def _operator_of(
     return BeliefOperator.monotone_closure(space, spec, owner=owner)
 
 
-def _draw_operator(
-    rng: random.Random, space: StateSpace, owner: str | None = None
-) -> BeliefOperator:
-    return _operator_of(space, _draw_spec(rng, space), owner)
-
-
 def _drawn_model(
     space: StateSpace, players: tuple[str, ...], specs: Iterable
 ) -> BeliefModel:
@@ -242,9 +236,9 @@ def sample_monotone_operators(
     if not 1 <= count:
         raise ValueError("count must be positive")
     space = standard_space(n)
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield _draw_operator(rng, space)
+    source = ModelSource("sampled-monotone", n_states=n, seed=seed, count=count)
+    for (spec,) in _draws("operator", source, 0, count):
+        yield _operator_of(space, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +342,26 @@ def _drawn_game_model(source: ModelSource, specs, game: Game, codes) -> GameMode
     return GameModel(_drawn_model(space, game.players, specs), game, rows)
 
 
-def _sampled_game(rng: random.Random, source: ModelSource) -> GameModel:
-    specs, ranks, codes = _draw_game_spec(rng, source)
-    return _drawn_game_model(source, specs, _drawn_game(source, ranks), codes)
+def _draws(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
+    """The draws [lo, hi) of a sampled source, the only place that seeds
+    and replays one: per instance, the list of each player's operator
+    spec of an operator or pair arena, or the (specs, ranks, codes) of a
+    game. The stream replays from its start, so a draw before lo only
+    advances it."""
+    rng = random.Random(source.seed)
+    if arena == "game":
+        draw = partial(_draw_game_spec, rng, source)
+    else:
+        space, players = standard_space(source.n_states), _PLAYERS[arena]
+        draw = lambda: [_draw_spec(rng, space) for _ in players]
+    return itertools.islice(iter(draw, None), lo, hi)
+
+
+def _spec_table(spec: tuple[int, ...] | dict[int, int], n: int) -> tuple[int, ...]:
+    """The table of a drawn spec, built without an operator."""
+    if isinstance(spec, tuple):
+        return kripke_table(spec, n)
+    return monotone_closure_table(spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +391,7 @@ def _instance_count(arena: str, source: ModelSource) -> int:
     n = source.n_states
     corr_count = standard_space(n).size**n
     if source.mode == "exhaustive-kripke":
-        if arena == "game":
-            raise ValueError("game claims need an exhaustive-games or sampled source")
         return corr_count if arena == "operator" else corr_count**2
-    if arena != "game":
-        raise ValueError("exhaustive-games sources only serve game claims")
     strat_count = source.n_actions**n
     return 81 * corr_count**2 * strat_count**2
 
@@ -413,19 +420,14 @@ def _instances(arena: str, source: ModelSource, lo: int, hi: int) -> Iterator:
             for g in games:
                 yield GameModel(belief, _pattern_game(g), rows)
         return
-    # audits on up to three states run the sweeps; this stream is their
-    # tested reference. A draw before lo only advances the stream.
-    rng = random.Random(source.seed)
-    players = _PLAYERS.get(arena)
-    for index in range(hi):
-        if players is None:
-            specs, ranks, codes = _draw_game_spec(rng, source)
-            if index >= lo:
-                yield _drawn_game_model(source, specs, _drawn_game(source, ranks), codes)
-            continue
-        specs = [_draw_spec(rng, space) for _ in players]
-        if index >= lo:
-            yield _drawn_model(space, players, specs)
+    # audits run the sweeps on the sources of _SWEPT_MODES; this stream
+    # is their tested reference
+    if arena == "game":
+        for specs, ranks, codes in _draws(arena, source, lo, hi):
+            yield _drawn_game_model(source, specs, _drawn_game(source, ranks), codes)
+        return
+    for specs in _draws(arena, source, lo, hi):
+        yield _drawn_model(space, _PLAYERS[arena], specs)
 
 
 # ---------------------------------------------------------------------------
@@ -850,16 +852,15 @@ def _table_claim(
     violates or finds a witness, and cap > 0, does it walk the pairs of
     those key pairs in stream order and tally them one by one, until the
     first `cap` listings are rendered, so listings match the
-    per-instance check. The sampled stream replays the draws as specs and
-    turns each into its table without building an operator, the Kripke
-    ones through a dict keyed by the possible-set tuple. Its sweep
+    per-instance check. The sampled sweep reads the drawn specs of
+    _draws and turns each into its table without building an operator,
+    the Kripke ones through a dict keyed by the possible-set tuple. It
     interns the facts by table in a pool, so a fact is decided once per
-    distinct table; a draw before lo only advances the stream. Every
-    tally takes a memo of what depends only on the mutual table. A sweep
-    keeps one for the whole call (at most 512 mutual tables for
-    three-state Kripke pairs, 8,000 for sampled ones) and drops it, the
-    pool and the keys at the end, so that a rebound callee is seen by
-    the next call."""
+    distinct table. Every tally takes a memo of what depends only on
+    the mutual table. A sweep keeps one for the whole call (at most 512
+    mutual tables for three-state Kripke pairs, 8,000 for sampled ones)
+    and drops it, the pool and the keys at the end, so that a rebound
+    callee is seen by the next call."""
     players = _PLAYERS[arena]
 
     def check(model: BeliefModel, acc: _Acc) -> None:
@@ -901,24 +902,13 @@ def _table_claim(
             walk = (((a, b), k) for a, cols in rows for b, k in zip(cols, zip(*row_keys(a, cols))))
             _tally_by_key(acc, counts, first.__getitem__, tally_at, walk)
             return
-        pool, kripke = {}, {}
+        pool = _Lazy(lambda table: fact(BeliefOperator(space, _table=table)))
+        kripke = _Lazy(partial(_spec_table, n=n))
 
         def fact_of(spec):
-            if isinstance(spec, tuple):
-                if spec not in kripke:
-                    kripke[spec] = kripke_table(spec, n)
-                table = kripke[spec]
-            else:
-                table = monotone_closure_table(spec, n)
-            if table not in pool:
-                pool[table] = fact(BeliefOperator(space, _table=table))
-            return pool[table]
+            return pool[kripke[spec] if isinstance(spec, tuple) else _spec_table(spec, n)]
 
-        rng = random.Random(source.seed)
-        for index in range(hi):
-            specs = [_draw_spec(rng, space) for _ in players]
-            if index < lo:
-                continue
+        for specs in _draws(arena, source, lo, hi):
             model = partial(_drawn_model, space, players, specs)
             tally(space, model, [fact_of(spec) for spec in specs], acc, memo)
 
@@ -1395,14 +1385,13 @@ def _game_claim(fact: Callable, tally: Callable, keys: Callable) -> dict:
     fact memo live for one sweep call, so a rebound callee is seen by the
     next call.
 
-    The sampled sweep replays the draws as specs and turns each operator
-    spec into its table; a draw before lo only advances the stream. A
-    drawn game rarely repeats, so nothing is interned and each instance
-    is tallied on its own, as `check` (the reference) tallies one: each
-    player's fact is decided on the drawn tables, and common belief on
-    their intersection. The Game is built only for the elimination trace
-    of an instance with a live premise, and the game model only for a
-    listing."""
+    The sampled sweep reads the drawn specs of _draws and turns each
+    operator spec into its table. A drawn game rarely repeats, so
+    nothing is interned and each instance is tallied on its own, as
+    `check` (the reference) tallies one: each player's fact is decided
+    on the drawn tables, and common belief on their intersection. The
+    Game is built only for the elimination trace of an instance with a
+    live premise, and the game model only for a listing."""
 
     def check(gm: GameModel, acc: _Acc) -> None:
         facts = [fact(player_tables(gm, p)) for p in gm.game.players]
@@ -1416,17 +1405,8 @@ def _game_claim(fact: Callable, tally: Callable, keys: Callable) -> dict:
         if source.mode == "sampled-monotone":
             sizes = (source.n_actions,) * source.n_players
             full = space.size - 1
-            rng = random.Random(source.seed)
-            for index in range(hi):
-                specs, ranks, codes = _draw_game_spec(rng, source)
-                if index < lo:
-                    continue
-                tables = [
-                    kripke_table(spec, n)
-                    if isinstance(spec, tuple)
-                    else monotone_closure_table(spec, n)
-                    for spec in specs
-                ]
+            for specs, ranks, codes in _draws("game", source, lo, hi):
+                tables = [_spec_table(spec, n) for spec in specs]
                 facts = [fact(view) for view in _player_tables(space, tables, ranks, sizes, codes)]
                 game = partial(_drawn_game, source, ranks)
                 common = lambda rat: common_belief_bits(intersect_tables(tables), rat, full)

@@ -183,6 +183,11 @@ def _operator_from_spec(space: StateSpace, spec: PlayerSpec) -> BeliefOperator:
             PossibilityCorrespondence(space, spec.kripke), owner=spec.name
         )
     if spec.kind == "table":
+        # the images are read by position, so the events must be in mask order
+        if [event for event, _ in spec.entries] != list(range(space.size)):
+            raise ValueError(
+                f"table of player {spec.name} must list event masks 0 .. {space.size - 1} in order"
+            )
         images = [image for _, image in spec.entries]
         return BeliefOperator.from_table(space, images, owner=spec.name)
     return BeliefOperator.monotone_closure(space, dict(spec.entries), owner=spec.name)

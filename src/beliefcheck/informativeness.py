@@ -21,7 +21,7 @@ from .core import (
     ImplicationReport,
 )
 from .core import _first_failure
-from .qualitative import _columns
+from .qualitative import _columns, _upward_masks
 from .qualitative import (
     FamilyKind,
     QualitativeTypeMapping,
@@ -67,24 +67,15 @@ class InformativenessRelation:
 
 def upward_set(mapping: QualitativeTypeMapping, state: str) -> Event:
     """States whose types believe at least what this state's type does."""
-    base = mapping.type_at(state)
-    bits = 0
-    for i, t in enumerate(mapping.types):
-        if t.dominates(base):
-            bits |= 1 << i
-    return Event(mapping.space, bits)
+    upward = _upward_masks([t.believed for t in mapping.types])
+    return Event(mapping.space, upward[mapping.space.index(state)])
 
 
 def uncorroborated_bits(table: Sequence[int]) -> Iterator[int]:
     """Per event mask, in order, the states that believe the event while
     no state at least as informative as them lies in it; all zero exactly
-    when the table is compatible with informativeness. A state's upward
-    set holds the states whose columns contain its own."""
-    columns = _columns(table, len(table).bit_length() - 1)
-    upward = [
-        sum(1 << j for j, other in enumerate(columns) if not own & ~other)
-        for own in columns
-    ]
+    when the table is compatible with informativeness."""
+    upward = _upward_masks(_columns(table, len(table).bit_length() - 1))
     for e, believers in enumerate(table):
         yield sum(
             1 << i for i, up in enumerate(upward) if believers >> i & 1 and not up & e

@@ -125,6 +125,14 @@ def _columns(table: Sequence[int], n: int) -> list[int]:
     return masks
 
 
+def _upward_masks(columns: Sequence[int]) -> list[int]:
+    """Per state, the states at least as informative: those whose
+    columns contain its own."""
+    return [
+        sum(1 << j for j, other in enumerate(columns) if not own & ~other) for own in columns
+    ]
+
+
 def type_mapping_of(op: BeliefOperator) -> QualitativeTypeMapping:
     """Each state's column of the operator: which events are believed there."""
     space = op.space
@@ -221,9 +229,11 @@ def observation_family(
     elif kind is FamilyKind.SIGMA_ATOMS:
         members = [frozenset((t,)) for t in realized]
     else:
+        # a realized type is in an upward set when its first state is
+        first = [mapping.types.index(t) for t in realized]
         members = [
-            frozenset(t for t in realized if t.dominates(mapping.type_at(state)))
-            for state in mapping.space.states
+            frozenset(t for t, i in zip(realized, first) if up >> i & 1)
+            for up in _upward_masks([t.believed for t in mapping.types])
         ]
     seen: list[frozenset] = []
     for m in members:

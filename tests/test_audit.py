@@ -20,8 +20,8 @@ from beliefcheck.audit import (
     sample_monotone_operators,
     standard_space,
     _CLAIMS,
-    _draw_operator,
     _draw_spec,
+    _draws,
     _game_blocks,
     _instance_count,
     _instances,
@@ -30,9 +30,9 @@ from beliefcheck.audit import (
     _pattern_game,
     _rationality_fact,
     _run_range,
-    _sampled_game,
     _worker_count,
     _transfer_signals,
+    _spec_table,
     _uncovered_signals,
     _Acc,
     _STATUS_INDEX,
@@ -49,8 +49,7 @@ from beliefcheck.core import (
     correspondence_property,
     intersect_tables,
     iterated_mutual_bits,
-    kripke_table,
-    monotone_closure_table,
+    operators_equal,
 )
 from beliefcheck.cli import run_cli
 from beliefcheck.dsl import parse_model_spec, serialize_model
@@ -64,6 +63,14 @@ from beliefcheck.games import (
     rationality_bits,
     survival_bits,
 )
+from beliefcheck.qualitative import (
+    FamilyKind,
+    certain_of_type_mapping,
+    commonly_certain_of_type_mapping,
+    negative_access,
+    positive_access,
+)
+from beliefcheck.signals import certain_of
 import random
 
 
@@ -166,7 +173,6 @@ class TestModelSource:
             raise AssertionError("drew an operator")
 
         monkeypatch.setattr("beliefcheck.audit._draw_spec", no_draw)
-        monkeypatch.setattr("beliefcheck.audit._draw_operator", no_draw)
         src = ModelSource(mode=mode, n_states=1, n_players=players, count=count)
         for claim in ("thm1-2", "prop4-1a", "remark1-1a"):
             with pytest.raises(ValueError, match="pair claims take exactly 2 players"):
@@ -238,21 +244,23 @@ class TestSampler:
     @pytest.mark.parametrize("n", [2, 3])
     def test_spec_draws_replay_the_operator_stream(self, n):
         space = standard_space(n)
-        by_spec, by_operator = random.Random(13), random.Random(13)
-        specs = [_draw_spec(by_spec, space) for _ in range(500)]
-        ops = [_draw_operator(by_operator, space) for _ in range(500)]
-        assert by_spec.getstate() == by_operator.getstate()
+        rng = random.Random(13)
+        specs = [_draw_spec(rng, space) for _ in range(500)]
+        ops = list(sample_monotone_operators(n, 13, 500))
         rows = [(op.has_correspondence(), op.table()) for op in ops]
         built = [_operator_of(space, spec) for spec in specs]
         assert [(op.has_correspondence(), op.table()) for op in built] == rows
-        # the sampled pair sweep's tables, built without an operator
-        tables = [
-            kripke_table(spec, n) if isinstance(spec, tuple) else monotone_closure_table(spec, n)
-            for spec in specs
-        ]
-        assert tables == [table for _, table in rows]
+        # the operator and pair arenas replay the same draws, and the
+        # sweeps' tables are built without an operator
+        src = ModelSource(mode="sampled-monotone", n_states=n, seed=13, count=500)
+        assert list(_draws("operator", src, 0, 500)) == [[spec] for spec in specs]
+        assert list(_draws("pair", src, 0, 250)) == [specs[k : k + 2] for k in range(0, 500, 2)]
+        assert list(_draws("operator", src, 120, 130)) == [[spec] for spec in specs[120:130]]
+        ops = [m.operators["i"] for m in _instances("operator", src, 0, 500)]
+        assert [(op.has_correspondence(), op.table()) for op in ops] == rows
+        assert [_spec_table(spec, n) for spec in specs] == [table for _, table in rows]
         digest = lambda value: hashlib.sha256(repr(value).encode()).hexdigest()
-        assert (digest(rows), digest(by_spec.getstate())) == self.OLD_STREAM[n]
+        assert (digest(rows), digest(rng.getstate())) == self.OLD_STREAM[n]
 
 
 class TestRegistry:
@@ -391,9 +399,7 @@ class TestGameSweeps:
             mode="sampled-monotone", n_states=3, n_players=3, n_actions=2,
             seed=11, count=120,
         )
-        rng = random.Random(src.seed)
-        for _ in range(src.count):
-            gm = _sampled_game(rng, src)
+        for gm in _instances("game", src, 0, src.count):
             acc = _Acc(("implication",), cap=0)
             resolve_claim("epistemic-iesda").check(gm, acc)
             expect = [0, 0, 0]
@@ -1397,6 +1403,96 @@ class TestSignalBatteries:
         assert result.confirmed_total == 60
 
 
+def _pair_oracle(model: BeliefModel) -> dict:
+    """Per pair claim, the (direction, premise, conclusion) of every
+    instance it records on a two-player model, decided through the
+    public object-level API alone; the first player observes the second."""
+    i, j = model.players
+    a, b = model.operator(i), model.operator(j)
+    space = model.space
+    sigma = FamilyKind.SIGMA_ATOMS
+    both = lambda *axioms: all(op.check_axiom(x).holds for op in (a, b) for x in axioms)
+    access = lambda obs, subj: positive_access(obs, subj).holds and negative_access(obs, subj).holds
+    equal = lambda left, right: operators_equal(left, right).holds
+    knows = lambda kind: certain_of_type_mapping(model, i, j, kind).holds
+    certain = lambda player, sig: certain_of(model, player, sig).holds
+    iff = lambda gate, left, right: [
+        ("forward", gate and left, right),
+        ("backward", gate and right, left),
+    ]
+    observer_holds = lambda *axioms: all(a.check_axiom(x).holds for x in axioms)
+    conjunctive = (Axiom.CONSISTENCY, Axiom.COUNTABLE_CONJUNCTION)
+    profile = all(commonly_certain_of_type_mapping(model, p, sigma).holds for p in (i, j))
+    common, mutual = model.common_operator(), model.mutual_operator()
+    depth = 2 * space.size + 1
+    beliefs = [
+        (model.common_belief(e), model.common_belief_iterated(e, depth)) for e in space.events()
+    ]
+
+    def transfer(direction, battery):
+        live = both(Axiom.CONSISTENCY) and certain_of_type_mapping(model, j, i, sigma).holds
+        return [(direction, live and certain(i, sig), certain(j, sig)) for sig in battery(space)]
+
+    return {
+        "remark1-1a": iff(True, knows(FamilyKind.BETA), positive_access(a, b).holds),
+        "remark1-1b": iff(True, knows(FamilyKind.NEG_BETA), negative_access(a, b).holds),
+        "remark1-1c": [("implication", knows(sigma), access(a, b))],
+        "remark1-2a": iff(observer_holds(Axiom.TRUTH), knows(sigma), access(a, b)),
+        "remark1-2b": iff(observer_holds(*conjunctive), knows(sigma), access(a, b)),
+        "thm1-1": iff(
+            both(Axiom.TRUTH), profile, equal(a, b) and both(Axiom.NEGATIVE_INTROSPECTION)
+        )
+        + [("in-particular", both(Axiom.TRUTH) and profile, equal(a, common) and equal(b, common))],
+        "thm1-2": iff(both(*conjunctive), profile, access(common, a) and access(common, b))
+        + [("in-particular", both(*conjunctive) and profile, equal(common, mutual))],
+        "thm1-2-converse-fails": [
+            ("witness", both(*conjunctive) and equal(common, mutual) and not profile, True)
+        ],
+        "prop4-1a": transfer("implication", _transfer_signals),
+        "prop4-1b": [
+            ("implication", both(Axiom.CONSISTENCY) and profile, certain(i, sig) == certain(j, sig))
+            for sig in _transfer_signals(space)
+        ],
+        "prop4-side-condition": transfer("observation", _uncovered_signals),
+        "common-belief-vs-iteration": [
+            ("contained-in-iteration", True, all(c <= it for c, it in beliefs)),
+            (
+                "equals-at-stabilization",
+                both(Axiom.COUNTABLE_CONJUNCTION),
+                all(c == it for c, it in beliefs),
+            ),
+        ],
+        "strict-iteration-gap": [("witness", any(c < it for c, it in beliefs), True)],
+    }
+
+
+class TestPairClaimOracle:
+    def test_check_matches_the_object_level_path(self, monotone_operators2):
+        # every ordered pair of the 36 two-state monotone operators: each
+        # pair claim's check records, instance by instance, the tallies
+        # the object-level path gives
+        claims = {spec.aliases[0]: spec for spec in _CLAIMS if spec.arena == "pair"}
+        confirmed = set()
+        space = monotone_operators2[0].space
+        for a, b in itertools.product(monotone_operators2, repeat=2):
+            model = BeliefModel(space, {"i": a, "j": b})
+            oracle = _pair_oracle(model)
+            assert oracle.keys() == claims.keys()
+            for alias, spec in claims.items():
+                expect = {d: [0, 0, 0] for d in spec.directions}
+                for direction, premise, conclusion in oracle[alias]:
+                    expect[direction][0 if not premise else 1 if conclusion else 2] += 1
+                acc = _Acc(spec.directions, cap=0)
+                spec.check(model, acc)
+                assert acc.tallies == expect, (alias, a.table(), b.table())
+                if any(counts[1] for counts in expect.values()):
+                    confirmed.add(alias)
+        # no comparison is vacuous throughout but the gap's, which needs
+        # three states
+        assert len(claims) == 13
+        assert claims.keys() - confirmed == {"strict-iteration-gap"}
+
+
 class TestFromFiles:
     @pytest.fixture
     def model_file(self, tmp_path):
@@ -1462,7 +1558,7 @@ class TestFromFiles:
             mode="sampled-monotone", n_states=2, n_players=2, n_actions=2,
             seed=2, count=1,
         )
-        gm = _sampled_game(random.Random(src.seed), src)
+        (gm,) = _instances("game", src, 0, 1)
         path = tmp_path / "game.bel"
         path.write_text(serialize_model(game_model=gm), encoding="utf-8")
         direct = audit("epistemic-iesda", src).to_dict()

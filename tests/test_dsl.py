@@ -507,6 +507,20 @@ class TestRoundTrip:
         assert serialize_model_spec(doc) == text
 
 
+class TestHandBuiltTables:
+    # a table block's images are read by position, so a document whose
+    # event masks are out of order or repeated would build an operator
+    # that its own serialization does not describe
+    @pytest.mark.parametrize(
+        "entries",
+        [((0, 0), (2, 2), (1, 1), (3, 3)), ((0, 0), (1, 1), (1, 1), (3, 3)), ((0, 0), (1, 1))],
+    )
+    def test_entries_must_list_every_event_in_order(self, entries):
+        doc = ModelSpecDocument(("a", "b"), (PlayerSpec("i", "table", entries=entries),))
+        with pytest.raises(ValueError, match="must list event masks 0 .. 3 in order"):
+            doc.belief_model()
+
+
 class TestFamilyOrder:
     TEXT = (
         "states a;\n"

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from beliefcheck.audit import ModelSource, _pair_model, _pattern_game, _sampled_game
+from beliefcheck.audit import ModelSource, _instances, _pair_model, _pattern_game
 from beliefcheck.core import (
     Axiom,
     BeliefModel,
@@ -489,18 +489,16 @@ class TestIntegerKernel:
             mode="sampled-monotone", n_states=4, n_players=2, n_actions=3,
             seed=11, count=150,
         )
-        rng = random.Random(src.seed)
-        for _ in range(src.count):
-            assert_kernel_matches(_sampled_game(rng, src))
+        for gm in _instances("game", src, 0, src.count):
+            assert_kernel_matches(gm)
 
     def test_three_player_games(self):
         src = ModelSource(
             mode="sampled-monotone", n_states=3, n_players=3, n_actions=2,
             seed=5, count=150,
         )
-        rng = random.Random(src.seed)
-        for _ in range(src.count):
-            assert_kernel_matches(_sampled_game(rng, src))
+        for gm in _instances("game", src, 0, src.count):
+            assert_kernel_matches(gm)
 
     def test_unequal_action_counts(self, space3, identity3):
         rng = random.Random(2)
@@ -622,8 +620,7 @@ class TestTableChains:
         ],
     )
     def test_sampled_games(self, source):
-        rng = random.Random(source.seed)
         statuses = []
-        for _ in range(source.count):
-            statuses += assert_chains_match(_sampled_game(rng, source))
+        for gm in _instances("game", source, 0, source.count):
+            statuses += assert_chains_match(gm)
         assert ImplicationStatus.CONFIRMED in statuses

@@ -7,9 +7,8 @@ properties state by state on `Event` sets, from the definitions alone.
 """
 
 import itertools
-import random
 
-from beliefcheck.audit import ModelSource, _sampled_game, sample_monotone_operators
+from beliefcheck.audit import ModelSource, _instances, sample_monotone_operators
 from beliefcheck.core import (
     AxiomReport,
     BeliefOperator,
@@ -203,7 +202,6 @@ class TestGameWitnesses:
                 mode="sampled-monotone", n_states=n_states, n_players=2,
                 n_actions=n_actions, seed=seed, count=200,
             )
-            rng = random.Random(src.seed)
-            for _ in range(src.count):
-                verdicts += assert_game_checks(_sampled_game(rng, src))
+            for gm in _instances("game", src, 0, src.count):
+                verdicts += assert_game_checks(gm)
         assert_both_outcomes(verdicts)
